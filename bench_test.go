@@ -447,23 +447,17 @@ func BenchmarkFigure7ExperimentHistory(b *testing.B) {
 
 // --- substrate: the two engines on the TPC-H power run ---------------------------
 
-// BenchmarkEnginesTPCH runs all 22 TPC-H queries on each engine; the
-// per-engine wall-clock comparison is the raw material every discriminative
-// experiment builds on. The power run uses a smaller instance than the
-// figure benchmarks so the correlated sub-query queries stay affordable.
+// BenchmarkEnginesTPCH runs all 22 TPC-H queries on every registered
+// engine; the per-engine wall-clock comparison is the raw material every
+// discriminative experiment builds on. The power run uses a smaller
+// instance than the figure benchmarks so the correlated sub-query queries
+// stay affordable.
 func BenchmarkEnginesTPCH(b *testing.B) {
 	db := datagen.TPCH(datagen.TPCHOptions{ScaleFactor: 0.002, Seed: 11})
-	engines := []engine.Engine{
-		engine.NewRowEngine(),
-		engine.NewColEngine(),
-		engine.NewColEngineWithOptions(engine.ColEngineOptions{Version: "2.0", DisableGuardCasts: true}),
-		engine.NewVektorEngine(),
-		engine.NewVektorEngineWithOptions(engine.VektorOptions{Version: "2.0", BatchSize: 4096}),
-		engine.NewFusilEngine(),
-	}
-	for _, eng := range engines {
-		eng := eng
-		b.Run(engine.EngineKey(eng.Name(), eng.Version()), func(b *testing.B) {
+	reg := engine.NewRegistry()
+	for _, key := range reg.Keys() {
+		eng := reg.Get(key)
+		b.Run(key, func(b *testing.B) {
 			opts := engine.ExecOptions{Timeout: time.Minute}
 			for i := 0; i < b.N; i++ {
 				for _, q := range workload.TPCH() {
@@ -521,21 +515,16 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkEnginesQ1 isolates the paper's flagship query on both engines and
-// on the improved column-engine release (the guard-cast ablation at the
-// engine level).
+// BenchmarkEnginesQ1 isolates the paper's flagship query on every
+// registered engine, the column-engine releases included (the guard-cast
+// ablation at the engine level).
 func BenchmarkEnginesQ1(b *testing.B) {
 	db := smallTPCH()
 	q1, _ := workload.TPCHQuery("Q1")
-	engines := []engine.Engine{
-		engine.NewRowEngine(),
-		engine.NewColEngine(),
-		engine.NewColEngineWithOptions(engine.ColEngineOptions{Version: "2.0", DisableGuardCasts: true}),
-		engine.NewVektorEngine(),
-	}
-	for _, eng := range engines {
-		eng := eng
-		b.Run(engine.EngineKey(eng.Name(), eng.Version()), func(b *testing.B) {
+	reg := engine.NewRegistry()
+	for _, key := range reg.Keys() {
+		eng := reg.Get(key)
+		b.Run(key, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.Execute(db, q1.SQL, engine.ExecOptions{Timeout: time.Minute}); err != nil {
 					b.Fatal(err)
@@ -592,8 +581,8 @@ func BenchmarkPlanCache(b *testing.B) {
 // is built for (TPC-H Q1 and Q6 plus SSB Q1.1): tuple-at-a-time
 // interpretation, column-at-a-time interpretation with materialised boxed
 // intermediates, batch-vectorized execution over typed vectors with
-// selection vectors, and compiled execution through fused closure
-// pipelines. The per-paradigm speedup over columba is the headline number
+// selection vectors, and compiled execution through the fused closure
+// scan loop. The per-paradigm speedup over columba is the headline number
 // of the vektor subsystem.
 func BenchmarkParadigmsScanAggregation(b *testing.B) {
 	tpch := smallTPCH()
@@ -643,6 +632,42 @@ func BenchmarkParadigmsScanAggregation(b *testing.B) {
 }
 
 // --- vexec hash paths -------------------------------------------------------------
+
+// BenchmarkScanPredicateShapes locates the crossover between the two
+// typed paradigms' scan filters: the batch-vectorized selection passes of
+// vektor 1.0 and the fused closure loop of fusil 1.0, over the same 1024-row
+// windows and operators above. Each case sums a lineitem column under one
+// predicate shape: typed column-vs-literal comparisons across selectivities
+// (l_quantity is uniform over 1..50), a three-conjunct filter, a
+// dictionary-coded string equality, a substring LIKE and an arithmetic
+// predicate.
+func BenchmarkScanPredicateShapes(b *testing.B) {
+	db := smallTPCH()
+	cases := []struct{ name, where string }{
+		{"qty-lt-2", "l_quantity < 2"},
+		{"qty-lt-10", "l_quantity < 10"},
+		{"qty-lt-25", "l_quantity < 25"},
+		{"qty-lt-51", "l_quantity < 51"},
+		{"three-conjuncts", "l_quantity < 25 AND l_discount > 0.02 AND l_tax < 0.07"},
+		{"dict-string-eq", "l_shipmode = 'AIR'"},
+		{"like-substring", "l_comment LIKE '%furious%'"},
+		{"arithmetic", "l_extendedprice * (1 - l_discount) > 50000"},
+	}
+	engines := []engine.Engine{engine.NewVektorEngine(), engine.NewFusilEngine()}
+	for _, tc := range cases {
+		sql := "SELECT count(*), sum(l_extendedprice) FROM lineitem WHERE " + tc.where
+		for _, eng := range engines {
+			eng := eng
+			b.Run(tc.name+"/"+engine.EngineKey(eng.Name(), eng.Version()), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.Execute(db, sql, engine.ExecOptions{Timeout: time.Minute}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
 
 // vexecBenchCatalog is a typed vexec catalog (also implementing the planner's
 // schema view) with a fact table f(ik int, sk string, v float) and a dimension

@@ -26,6 +26,11 @@ import (
 	"sqalpel/internal/server"
 )
 
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dataDir := flag.String("data", "sqalpel-data", "data directory (write-ahead logs + snapshots)")
@@ -41,7 +46,15 @@ func main() {
 	store.TaskTimeout = *taskTimeout
 	srv := server.New(server.Options{Store: store})
 
-	httpServer := &http.Server{Addr: *addr, Handler: srv}
+	// Header and idle timeouts bound what a slow or idle client can hold
+	// open. There is deliberately no WriteTimeout: creating an experiment
+	// derives and enumerates its grammar inline, which can take seconds.
+	httpServer := &http.Server{
+		Addr:              *addr,
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	// Periodic maintenance: expire stuck tasks and checkpoint the store.
 	// Durability does not depend on the checkpoint — the logs already hold

@@ -16,13 +16,14 @@
 //     timeouts, fanned out across a worker pool with a result cache keyed by
 //     (target, normalized SQL). The guided search is deterministic at any
 //     worker count — parallelism changes wall-clock, never the findings.
-//   - internal/engine, internal/vexec, internal/cexec, internal/datagen and
+//   - internal/engine, internal/vexec, internal/datagen and
 //     internal/workload are the execution substrate: the engine registry
 //     spans six engines across four SQL execution paradigms with genuinely
 //     different performance profiles — tuplestore 1.0 (tuple-at-a-time),
 //     columba 1.0/2.0 (column-at-a-time), vektor 1.0/2.0 (the
-//     batch-vectorized executor built on internal/vexec) and fusil 1.0 (the
-//     data-centric compiled executor built on internal/cexec) — plus
+//     batch-vectorized executor of internal/vexec) and fusil 1.0 (the same
+//     executor with every base-table scan run as a fused loop of compiled
+//     predicate closures) — plus
 //     deterministic TPC-H / SSB / airtraffic data generators and the
 //     corresponding query workloads. The typed data layer the vectorized
 //     and compiled engines scan is encoded at import: dictionary-encoded

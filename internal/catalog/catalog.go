@@ -99,8 +99,8 @@ func Bootstrap() *Catalog {
 	})
 	c.AddDBMS(DBMS{
 		Name: "fusil", Version: "1.0", Vendor: "sqalpel", Dialect: "fusil",
-		Description: "Data-centric compiled engine: per-query closure chains, fused scan+filter pipelines, no batch handoffs.",
-		Knobs:       map[string]string{"execution_model": "data-centric compiled", "pipelines": "fused"},
+		Description: "Data-centric compiled scans: pushed-down predicates compiled into closures fused into the scan loop, vectorized operators above.",
+		Knobs:       map[string]string{"execution_model": "data-centric compiled", "scans": "fused"},
 	})
 	c.AddPlatform(Platform{Name: "raspberry-pi-4", CPU: "ARM Cortex-A72", Cores: 4, MemoryGB: 4,
 		Description: "Small single-board computer used for the low end of the spectrum."})

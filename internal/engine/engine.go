@@ -309,17 +309,12 @@ func (r *Registry) Routes(db *Database, sql string) ([]EngineRoute, error) {
 		rt := EngineRoute{Engine: key}
 		switch e := r.engines[key].(type) {
 		case *vektorEngine:
-			if p.Vectorizable {
-				rt.Paradigm = "batch-vectorized"
-			} else {
-				rt.Paradigm = "column-at-a-time interpreter (fallback)"
-				rt.Fallback = true
-				rt.Reason = p.NotVectorizableReason
-			}
-		case *fusilEngine:
-			if p.Vectorizable {
+			switch {
+			case p.Vectorizable && e.fused:
 				rt.Paradigm = "data-centric compiled"
-			} else {
+			case p.Vectorizable:
+				rt.Paradigm = "batch-vectorized"
+			default:
 				rt.Paradigm = "column-at-a-time interpreter (fallback)"
 				rt.Fallback = true
 				rt.Reason = p.NotVectorizableReason

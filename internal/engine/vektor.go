@@ -11,20 +11,26 @@ import (
 	"sqalpel/internal/vexec"
 )
 
-// vektorEngine is the third execution paradigm next to the row and column
-// interpreters: the batch-vectorized executor of internal/vexec ("vektor"),
-// working on typed unboxed vectors with selection vectors. The adapter owns
-// the column-import shim — engine.Database stores boxed []Value columns,
-// which are decoded into typed vectors once per table data version and
-// cached — and routes to the interpreter from the plan's precomputed
-// Vectorizable verdict; only data-dependent value shapes (mixed-kind
-// columns, eager-evaluation type errors) still fall back at runtime.
+// vektorEngine adapts internal/vexec to the Engine interface. It is the
+// third execution paradigm next to the row and column interpreters — the
+// batch-vectorized executor ("vektor"), working on typed unboxed vectors
+// with selection vectors — and, with fused set, the fourth: the
+// data-centric compiled engine ("fusil"), whose base-table scans run their
+// pushed-down conjuncts as one compiled closure loop per row instead of
+// vectorized selection passes, everything above the scans being vexec's
+// operators. The adapter owns the column-import shim — engine.Database
+// stores boxed []Value columns, which are decoded into typed vectors once
+// per table data version and cached — and routes to the interpreter from
+// the plan's precomputed Vectorizable verdict; only data-dependent value
+// shapes (mixed-kind columns, eager-evaluation type errors) still fall
+// back at runtime.
 type vektorEngine struct {
 	name        string
 	version     string
 	dialect     string
 	batchSize   int
 	parallelism int
+	fused       bool
 	fallback    *baseEngine
 	plans       *plan.Cache
 	typed       *typedCache
@@ -71,6 +77,20 @@ func NewVektorEngine() Engine {
 // NewVektorEngineWithOptions returns a tuned vectorized engine variant,
 // used to compare two releases of the same system.
 func NewVektorEngineWithOptions(opts VektorOptions) Engine {
+	return newVexecEngine("vektor", opts)
+}
+
+// NewFusilEngine returns the compiled engine ("fusil 1.0"): pushed-down
+// conjuncts compiled once per query into closures fused into the scan
+// loop, with vexec's joins, aggregation, sort and sub-query operators as
+// the pipeline breakers.
+func NewFusilEngine() Engine {
+	e := newVexecEngine("fusil", VektorOptions{})
+	e.fused = true
+	return e
+}
+
+func newVexecEngine(name string, opts VektorOptions) *vektorEngine {
 	version := opts.Version
 	if version == "" {
 		version = "1.0"
@@ -80,12 +100,12 @@ func NewVektorEngineWithOptions(opts VektorOptions) Engine {
 		batchSize = vexec.DefaultBatchSize
 	}
 	return &vektorEngine{
-		name:        "vektor",
+		name:        name,
 		version:     version,
-		dialect:     "vektor",
+		dialect:     name,
 		batchSize:   batchSize,
 		parallelism: opts.Parallelism,
-		fallback:    &baseEngine{name: "vektor", version: version, dialect: "vektor", mode: ModeColumn},
+		fallback:    &baseEngine{name: name, version: version, dialect: name, mode: ModeColumn},
 		plans:       plan.NewCache(0),
 		typed:       newTypedCache(),
 	}
@@ -118,7 +138,7 @@ func (e *vektorEngine) Execute(db *Database, sql string, opts ExecOptions) (*Res
 	if !p.Vectorizable {
 		return e.fallback.ExecutePlan(db, p, opts)
 	}
-	vopts := vexec.Options{BatchSize: e.batchSize, MaxJoinRows: opts.MaxJoinRows, Parallelism: e.parallelism, Tracer: opts.Tracer}
+	vopts := vexec.Options{BatchSize: e.batchSize, MaxJoinRows: opts.MaxJoinRows, Parallelism: e.parallelism, Fused: e.fused, Tracer: opts.Tracer}
 	if opts.Parallelism > 0 {
 		vopts.Parallelism = opts.Parallelism
 	}
@@ -181,9 +201,8 @@ func (e *vektorEngine) Execute(db *Database, sql string, opts ExecOptions) (*Res
 	return out, nil
 }
 
-// typedCache holds the typed decodings of boxed tables, shared by every
-// engine consuming the typed columnar form (the vectorized and compiled
-// paradigms each own one instance).
+// typedCache holds the typed decodings of boxed tables; every vexec-backed
+// engine owns one instance.
 type typedCache struct {
 	mu     sync.Mutex
 	cache  map[*Table]*typedTableEntry
@@ -195,9 +214,9 @@ func newTypedCache() *typedCache {
 	return &typedCache{cache: map[*Table]*typedTableEntry{}}
 }
 
-// typedCatalog adapts an engine.Database to the typed-table catalog the
-// vectorized and compiled executors consume, decoding boxed columns into
-// typed vectors through a per-engine cache.
+// typedCatalog adapts an engine.Database to the typed-table catalog vexec
+// consumes, decoding boxed columns into typed vectors through a per-engine
+// cache.
 type typedCatalog struct {
 	cache *typedCache
 	db    *Database

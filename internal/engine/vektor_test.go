@@ -15,11 +15,16 @@ import (
 
 // TestTPCHFullyVectorized is the acceptance gate of the sub-query work:
 // every TPC-H query must carry a vectorizable plan verdict AND run through
-// the native batch pipeline at runtime (a zero batch counter would mean the
-// adapter silently fell back to the interpreter). Failures list every
-// offending query with the plan's reason or the runtime symptom.
+// the native batch pipeline at runtime on both vexec-backed paradigms (a
+// zero batch counter would mean the adapter silently fell back to the
+// interpreter). The compiled engine must also have run its pushed-down
+// conjuncts in the fused closure loop, which makes no vectorized selection
+// passes: wherever the vectorized engine filters, the compiled one makes
+// fewer passes. Failures list every offending query with the plan's reason
+// or the runtime symptom.
 func TestTPCHFullyVectorized(t *testing.T) {
 	vek := engine.NewVektorEngine()
+	fus := engine.NewFusilEngine()
 	opts := engine.ExecOptions{Timeout: 2 * time.Minute}
 	var offenders []string
 	for _, q := range workload.TPCH() {
@@ -31,16 +36,26 @@ func TestTPCHFullyVectorized(t *testing.T) {
 			offenders = append(offenders, fmt.Sprintf("%s: plan verdict: %s", q.ID, p.NotVectorizableReason))
 			continue
 		}
-		res, err := vek.Execute(tpchDB, q.SQL, opts)
+		vres, err := vek.Execute(tpchDB, q.SQL, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
-		if res.Stats.Batches == 0 {
-			offenders = append(offenders, q.ID+": runtime fell back to the interpreter (zero batches)")
+		fres, err := fus.Execute(tpchDB, q.SQL, opts)
+		if err != nil {
+			t.Fatalf("%s fusil: %v", q.ID, err)
+		}
+		if vres.Stats.Batches == 0 {
+			offenders = append(offenders, q.ID+": vektor fell back to the interpreter (zero batches)")
+		}
+		if fres.Stats.Batches == 0 {
+			offenders = append(offenders, q.ID+": fusil fell back to the interpreter (zero batches)")
+		}
+		if v, f := vres.Stats.FilterPasses, fres.Stats.FilterPasses; v > 0 && f >= v {
+			offenders = append(offenders, fmt.Sprintf("%s: fusil made %d selection passes, vektor %d: the fused scan did not run", q.ID, f, v))
 		}
 	}
 	if len(offenders) > 0 {
-		t.Errorf("queries outside the native vectorized path:\n  %s", strings.Join(offenders, "\n  "))
+		t.Errorf("queries outside the native typed paths:\n  %s", strings.Join(offenders, "\n  "))
 	}
 }
 

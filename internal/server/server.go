@@ -34,8 +34,8 @@ type Server struct {
 	catalog *catalog.Catalog
 
 	mu       sync.Mutex
-	sessions map[string]string     // token -> nickname
-	pools    map[string]*pool.Pool // "projectID:experimentID" -> live pool
+	sessions map[string]string    // token -> nickname
+	pools    map[string]*poolSlot // "projectID:experimentID" -> live pool
 
 	mux *http.ServeMux
 }
@@ -56,7 +56,7 @@ func New(opts Options) *Server {
 		store:    opts.Store,
 		catalog:  opts.Catalog,
 		sessions: map[string]string{},
-		pools:    map[string]*pool.Pool{},
+		pools:    map[string]*poolSlot{},
 		mux:      http.NewServeMux(),
 	}
 	if s.store == nil {
@@ -127,11 +127,28 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func decodeJSON(r *http.Request, v any) error {
+// maxRequestBody bounds every JSON request body. The largest legitimate
+// bodies — a task completion carrying an operator trace, an experiment
+// with a full TPC-H baseline or grammar — stay far below it.
+const maxRequestBody = 1 << 20
+
+// decodeJSON decodes the request body into v. It answers 413 when the
+// body exceeds maxRequestBody and 400 when it is malformed; false means
+// the error response is written.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	defer r.Body.Close()
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err)
+		return false
+	}
+	return true
 }
 
 func newToken() string {
@@ -185,8 +202,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Nickname string `json:"nickname"`
 		Email    string `json:"email"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if _, err := s.store.RegisterUser(req.Nickname, req.Email); err != nil {
@@ -202,8 +218,7 @@ func (s *Server) handleLogin(w http.ResponseWriter, r *http.Request) {
 		Nickname string `json:"nickname"`
 		Email    string `json:"email"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	u := s.store.User(req.Nickname)
@@ -234,8 +249,7 @@ func (s *Server) handleAddDBMS(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var d catalog.DBMS
-	if err := decodeJSON(r, &d); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &d) {
 		return
 	}
 	if err := s.catalog.AddDBMS(d); err != nil {
@@ -254,8 +268,7 @@ func (s *Server) handleAddPlatform(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var p catalog.Platform
-	if err := decodeJSON(r, &p); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &p) {
 		return
 	}
 	if err := s.catalog.AddPlatform(p); err != nil {
@@ -327,8 +340,7 @@ func (s *Server) handleCreateProject(w http.ResponseWriter, r *http.Request) {
 		Attribution string `json:"attribution"`
 		Public      bool   `json:"public"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	p, err := s.store.CreateProject(nick, req.Name, req.Synopsis, req.Public)
@@ -383,8 +395,7 @@ func (s *Server) handleVisibility(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Public bool `json:"public"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if err := s.store.SetVisibility(nick, id, req.Public); err != nil {
@@ -407,8 +418,7 @@ func (s *Server) handleInvite(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Nickname string `json:"nickname"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	key, err := s.store.Invite(nick, id, req.Nickname)
@@ -437,8 +447,7 @@ func (s *Server) handleAddExperiment(w http.ResponseWriter, r *http.Request) {
 		GrammarText string `json:"grammar_text"`
 		SeedRandom  int    `json:"seed_random"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	var g *grammar.Grammar
@@ -474,9 +483,9 @@ func (s *Server) handleAddExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.mu.Lock()
-	s.pools[poolKey(id, exp.ID)] = pl
-	s.mu.Unlock()
+	slot := s.lockPool(id, exp.ID)
+	slot.pl = pl
+	slot.mu.Unlock()
 	writeJSON(w, http.StatusCreated, map[string]any{
 		"experiment_id": exp.ID,
 		"grammar_text":  g.String(),
@@ -505,29 +514,49 @@ func poolRecords(pl *pool.Pool) []repository.QueryRecord {
 	return out
 }
 
-// livePool returns the in-memory pool of an experiment, rebuilding it from
-// the stored grammar when the server was restarted since the experiment was
-// created.
-func (s *Server) livePool(p *repository.Project, exp *repository.Experiment) (*pool.Pool, error) {
-	key := poolKey(p.ID, exp.ID)
+// poolSlot is one experiment's live pool. pool.Pool is unsynchronized, so
+// mu serializes every use of pl, from lookup through persisting its
+// queries.
+type poolSlot struct {
+	mu sync.Mutex
+	pl *pool.Pool // nil until created or rebuilt
+}
+
+// lockPool returns the experiment's slot with its mutex held, creating an
+// empty slot on first use.
+func (s *Server) lockPool(projectID, experimentID int) *poolSlot {
+	key := poolKey(projectID, experimentID)
 	s.mu.Lock()
-	pl, ok := s.pools[key]
+	slot, ok := s.pools[key]
+	if !ok {
+		slot = &poolSlot{}
+		s.pools[key] = slot
+	}
 	s.mu.Unlock()
-	if ok {
-		return pl, nil
+	slot.mu.Lock()
+	return slot
+}
+
+// livePool returns the experiment's slot, locked, with its in-memory pool
+// rebuilt from the stored grammar when the server was restarted since the
+// experiment was created. The caller unlocks the slot; on error it is
+// already unlocked.
+func (s *Server) livePool(p *repository.Project, exp *repository.Experiment) (*poolSlot, error) {
+	slot := s.lockPool(p.ID, exp.ID)
+	if slot.pl != nil {
+		return slot, nil
 	}
 	g, err := grammar.Parse(exp.GrammarText)
-	if err != nil {
-		return nil, fmt.Errorf("stored grammar does not parse: %w", err)
+	if err == nil {
+		slot.pl, err = pool.New(g, pool.Options{Seed: int64(p.ID)*1000 + 7})
+	} else {
+		err = fmt.Errorf("stored grammar does not parse: %w", err)
 	}
-	pl, err = pool.New(g, pool.Options{Seed: int64(p.ID)*1000 + 7})
 	if err != nil {
+		slot.mu.Unlock()
 		return nil, err
 	}
-	s.mu.Lock()
-	s.pools[key] = pl
-	s.mu.Unlock()
-	return pl, nil
+	return slot, nil
 }
 
 func (s *Server) handleGrowPool(w http.ResponseWriter, r *http.Request) {
@@ -556,8 +585,7 @@ func (s *Server) handleGrowPool(w http.ResponseWriter, r *http.Request) {
 		Include    []string `json:"include"`
 		Exclude    []string `json:"exclude"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	p := s.store.Project(id)
@@ -566,11 +594,13 @@ func (s *Server) handleGrowPool(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown experiment %d", eid))
 		return
 	}
-	pl, err := s.livePool(p, exp)
+	slot, err := s.livePool(p, exp)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
+	defer slot.mu.Unlock()
+	pl := slot.pl
 	var strategies []pool.Strategy
 	for _, st := range req.Strategies {
 		strategies = append(strategies, pool.Strategy(st))
@@ -649,8 +679,7 @@ func (s *Server) handleHideResult(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Hidden bool `json:"hidden"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if err := s.store.HideResult(nick, rid, req.Hidden); err != nil {
@@ -681,8 +710,7 @@ func (s *Server) handleAddComment(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Text string `json:"text"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	c, err := s.store.AddComment(nick, id, req.Text)
@@ -714,8 +742,7 @@ func (s *Server) handleTaskRequest(w http.ResponseWriter, r *http.Request) {
 		// Absent or 1 keeps the original single-task wire format.
 		Max int `json:"max"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	tasks, err := s.store.RequestTasks(req.Key, req.ExperimentID, req.DBMS, req.Platform, req.Max)
@@ -745,8 +772,7 @@ func (s *Server) handleTaskComplete(w http.ResponseWriter, r *http.Request) {
 		// trace.QueryTrace document; it is stored on the result row.
 		Trace json.RawMessage `json:"trace"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	var qt *trace.QueryTrace

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"sqalpel/internal/repository"
@@ -593,5 +594,89 @@ func TestTracePageSideBySide(t *testing.T) {
 		"error": "", "trace": "not-a-trace",
 	}); status != http.StatusBadRequest {
 		t.Errorf("malformed trace completion = %d, want 400", status)
+	}
+}
+
+// TestConcurrentGrowsSerialize fires four grow requests at one experiment
+// at once on a server that has not built the experiment's pool yet (a
+// restart over the same store), so the requests also race to rebuild it.
+// pool.Pool is unsynchronized: without the per-experiment lock the race
+// detector trips, and the last persisted query list need not be the final
+// pool.
+func TestConcurrentGrowsSerialize(t *testing.T) {
+	c, s := newTestClient(t)
+	c.token = c.register("martin", "martin@example.org")
+	pid, eid, _ := createProjectWithExperiment(t, c)
+
+	restarted := httptest.NewServer(New(Options{Store: s.Store()}))
+	t.Cleanup(restarted.Close)
+	rc := &testClient{t: t, srv: restarted}
+	status, resp := rc.do("POST", "/api/login", map[string]string{"nickname": "martin", "email": "martin@example.org"})
+	if status != http.StatusOK {
+		t.Fatalf("login = %d %v", status, resp)
+	}
+	token := resp["token"].(string)
+
+	const grows = 4
+	path := fmt.Sprintf("%s/api/projects/%d/experiments/%d/grow", restarted.URL, pid, eid)
+	statuses := make([]int, grows)
+	counts := make([]int, grows)
+	var wg sync.WaitGroup
+	for g := 0; g < grows; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			req, _ := http.NewRequest("POST", path, strings.NewReader(`{"count": 2}`))
+			req.Header.Set("X-Sqalpel-Token", token)
+			res, err := http.DefaultClient.Do(req)
+			if err != nil {
+				return
+			}
+			defer res.Body.Close()
+			var out struct {
+				QueryCount int `json:"query_count"`
+			}
+			_ = json.NewDecoder(res.Body).Decode(&out)
+			statuses[g], counts[g] = res.StatusCode, out.QueryCount
+		}(g)
+	}
+	wg.Wait()
+	final := 0
+	for g := range statuses {
+		if statuses[g] != http.StatusOK {
+			t.Fatalf("grow %d = %d", g, statuses[g])
+		}
+		final = max(final, counts[g])
+	}
+	status, resp = rc.do("GET", fmt.Sprintf("/api/projects/%d/experiments/%d/queries", pid, eid), nil)
+	if status != http.StatusOK {
+		t.Fatalf("queries = %d", status)
+	}
+	if n := len(resp["_list"].([]any)); n != final {
+		t.Fatalf("persisted %d queries, but the final pool holds %d", n, final)
+	}
+}
+
+// TestOversizedBodyIs413 checks the request-body bound: a JSON body past
+// maxRequestBody is refused with 413 before it is decoded, while a
+// malformed small body stays a 400.
+func TestOversizedBodyIs413(t *testing.T) {
+	c, _ := newTestClient(t)
+	big := `{"nickname": "` + strings.Repeat("x", maxRequestBody) + `", "email": "x@example.org"}`
+	res, err := http.Post(c.srv.URL+"/api/register", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized register = %d, want 413", res.StatusCode)
+	}
+	res, err = http.Post(c.srv.URL+"/api/register", "application/json", strings.NewReader(`{"nickname":`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed register = %d, want 400", res.StatusCode)
 	}
 }

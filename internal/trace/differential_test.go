@@ -53,7 +53,8 @@ func TestSpanIDsSubsetOfPlan(t *testing.T) {
 }
 
 // TestVektorTraceParallelismDeterminism pins the morsel-merge discipline:
-// the vektor engines' span Rows, Batches and Calls must be bit-identical at
+// the vexec-backed engines' span Rows, Batches and Calls (fusil's fused
+// scans included) must be bit-identical at
 // 1 and 8 morsel workers, because workers accumulate SpanDelta values per
 // morsel and the coordinator merges them in morsel order. Wall time and
 // allocation are timing-dependent and deliberately not compared.
@@ -62,6 +63,7 @@ func TestVektorTraceParallelismDeterminism(t *testing.T) {
 	for _, eng := range []engine.Engine{
 		engine.NewVektorEngine(),
 		engine.NewVektorEngineWithOptions(engine.VektorOptions{Version: "2.0", BatchSize: 4096}),
+		engine.NewFusilEngine(),
 	} {
 		key := engine.EngineKey(eng.Name(), eng.Version())
 		for _, q := range workload.TPCH() {

@@ -3,6 +3,8 @@ package vexec
 import (
 	"fmt"
 	"strings"
+
+	"sqalpel/internal/sqlparser"
 )
 
 // colMeta names one column of a batch: the table alias it came from (empty
@@ -21,6 +23,10 @@ type Batch struct {
 	meta []colMeta
 	sel  []int
 	n    int // physical rows in the vectors
+	// base is the source row of physical row 0 when the batch is a
+	// zero-copy window (a scan window or a morsel); the fused filter's
+	// closures read the table's vectors at base+row.
+	base int
 	// selBuf is recycled capacity for the first selection pass; scan
 	// operators that reuse their output frame park the previous batch's
 	// sel here so steady-state filtering stops allocating per batch.
@@ -52,17 +58,14 @@ func (b *Batch) physRow(i int) int {
 	return i
 }
 
-// errColumnNotFound distinguishes "not in this batch" from ambiguity.
-var errColumnNotFound = fmt.Errorf("column not found")
-
-// findColumn resolves a possibly qualified column reference with the same
-// rules as the interpreter's relation: unqualified lookups over columns of
-// the same name in different tables are ambiguous.
-func (b *Batch) findColumn(table, name string) (int, error) {
-	table = strings.ToLower(table)
-	name = strings.ToLower(name)
+// lookupColumn resolves a possibly qualified column reference against a
+// column layout with the interpreters' rules: unqualified lookups over
+// same-named columns of different tables are ambiguous.
+func lookupColumn(meta []colMeta, ref *sqlparser.ColumnRef) (int, error) {
+	table := strings.ToLower(ref.Table)
+	name := strings.ToLower(ref.Column)
 	found := -1
-	for i, m := range b.meta {
+	for i, m := range meta {
 		if m.name != name {
 			continue
 		}
@@ -74,10 +77,14 @@ func (b *Batch) findColumn(table, name string) (int, error) {
 		}
 		found = i
 	}
-	if found < 0 {
-		return -1, errColumnNotFound
+	switch {
+	case found >= 0:
+		return found, nil
+	case ref.Table != "":
+		return -1, fmt.Errorf("unknown column %s.%s", ref.Table, ref.Column)
+	default:
+		return -1, fmt.Errorf("unknown column %s", ref.Column)
 	}
-	return found, nil
 }
 
 // dense returns column i as a dense vector over the live rows: the column

@@ -22,6 +22,10 @@
 //     keys and a reusable []byte encoding for compound keys — group ids are
 //     dense and in insertion order, which pins output order to the
 //     interpreters'.
+//   - A compiled scan mode (Options.Fused, the fusil engine; fused.go):
+//     pushed-down conjuncts compiled once into closures over the table's
+//     typed vectors and run row by row in one loop fused onto the scan,
+//     feeding the same operators above.
 //   - Morsel-driven intra-query parallelism (parallel.go, enabled by
 //     Options.Parallelism): scan->filter morsels, thread-local aggregation
 //     states and partitioned hash-join builds fan across a bounded worker

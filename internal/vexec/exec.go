@@ -35,6 +35,10 @@ type Options struct {
 	// thread-local aggregation); 0 or 1 executes serially. Results are
 	// bit-identical at every worker count.
 	Parallelism int
+	// Fused runs every base-table scan's pushed-down conjuncts as the fused
+	// closure loop (fused.go) instead of vectorized selection passes — the
+	// compiled paradigm. Results are identical either way.
+	Fused bool
 	// Tracer collects per-operator spans keyed by the plan's operator ids;
 	// nil disables tracing at zero cost (every operator's span pointer is
 	// nil and the hot paths reduce to one pointer comparison). Traces are
@@ -250,7 +254,7 @@ func (ex *executor) buildFrom(sp *plan.Select, prefix string) (operator, error) 
 	if len(sp.From) == 0 {
 		var op operator = &dualOp{}
 		if len(sp.VexecResidual) > 0 {
-			f := &filterOp{ex: ex, child: op, conjuncts: sp.VexecResidual}
+			f := &filterOp{ex: ex, child: op, filterLayer: filterLayer{conjuncts: sp.VexecResidual}}
 			if ex.traceOn(prefix) {
 				f.span = ex.tracer.Span(trace.FilterID(prefix), trace.KindFilter)
 			}
@@ -266,13 +270,19 @@ func (ex *executor) buildFrom(sp *plan.Select, prefix string) (operator, error) 
 			return nil, err
 		}
 		if len(sp.VexecPushdown[i]) > 0 {
-			// A scan under pushdown conjuncts can consult the table's zone
-			// maps and skip whole blocks; only batch sizes aligned to the
-			// block grid keep serial and morsel segmentation identical.
-			if sc, ok := p.(*scanOp); ok && ex.opts.BatchSize%ZoneBlockRows == 0 {
-				sc.zones = sc.table.ZonePreds(sc.alias, sp.VexecPushdown[i])
+			f := &filterOp{ex: ex, child: p, filterLayer: filterLayer{conjuncts: sp.VexecPushdown[i]}}
+			if sc, ok := p.(*scanOp); ok {
+				// A scan under pushdown conjuncts can consult the table's
+				// zone maps and skip whole blocks; only batch sizes aligned
+				// to the block grid keep serial and morsel segmentation
+				// identical.
+				if ex.opts.BatchSize%zoneBlockRows == 0 {
+					sc.zones = sc.table.zonePreds(sc.alias, sp.VexecPushdown[i])
+				}
+				if ex.opts.Fused {
+					f.fused = ex.compileConds(sp.VexecPushdown[i], sc.scope())
+				}
 			}
-			f := &filterOp{ex: ex, child: p, conjuncts: sp.VexecPushdown[i]}
 			if ex.traceOn(prefix) {
 				f.span = ex.tracer.Span(trace.PushFilterID(prefix, i), trace.KindFilter)
 			}
@@ -320,7 +330,7 @@ func (ex *executor) buildFrom(sp *plan.Select, prefix string) (operator, error) 
 	}
 
 	if len(sp.VexecResidual) > 0 {
-		f := &filterOp{ex: ex, child: current, conjuncts: sp.VexecResidual}
+		f := &filterOp{ex: ex, child: current, filterLayer: filterLayer{conjuncts: sp.VexecResidual}}
 		if ex.traceOn(prefix) {
 			f.span = ex.tracer.Span(trace.FilterID(prefix), trace.KindFilter)
 		}

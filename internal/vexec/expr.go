@@ -131,13 +131,7 @@ func (ctx *evalCtx) resolveColumn(v *sqlparser.ColumnRef) (*Vector, error) {
 			return vec, nil
 		}
 	}
-	idx, err := ctx.batch.findColumn(v.Table, v.Column)
-	if err == errColumnNotFound {
-		if v.Table != "" {
-			return nil, fmt.Errorf("unknown column %s.%s", v.Table, v.Column)
-		}
-		return nil, fmt.Errorf("unknown column %s", v.Column)
-	}
+	idx, err := lookupColumn(ctx.batch.meta, v)
 	if err != nil {
 		return nil, err
 	}
@@ -874,8 +868,8 @@ func dictInCodes(val *Vector, items []*Vector) (codes []uint32, listHasNull, ok 
 }
 
 // subFor looks up the prepared state of a sub-query use site.
-func (ctx *evalCtx) subFor(s *sqlparser.SelectStatement) (*subState, error) {
-	if st, ok := ctx.ex.subs[s]; ok {
+func (ex *executor) subFor(s *sqlparser.SelectStatement) (*subState, error) {
+	if st, ok := ex.subs[s]; ok {
 		return st, nil
 	}
 	return nil, fmt.Errorf("%w: sub-query was not prepared", ErrUnsupported)
@@ -958,7 +952,7 @@ func (ctx *evalCtx) applyCandidates(as *applyState) (cand []int32, off []int32, 
 // correlated sites ask whether any candidate survives the key probe and the
 // pair conjuncts. The result is always two-valued, like the interpreters'.
 func (ctx *evalCtx) evalExists(v *sqlparser.ExistsExpr) (*Vector, error) {
-	st, err := ctx.subFor(v.Subquery)
+	st, err := ctx.ex.subFor(v.Subquery)
 	if err != nil {
 		return nil, err
 	}
@@ -989,7 +983,7 @@ func (ctx *evalCtx) evalExists(v *sqlparser.ExistsExpr) (*Vector, error) {
 // up directly by outer key (falling back to the empty-group value); ApplyFirst
 // sites take the first surviving candidate's projected value, NULL when none.
 func (ctx *evalCtx) evalScalarSub(v *sqlparser.SubqueryExpr) (*Vector, error) {
-	st, err := ctx.subFor(v.Select)
+	st, err := ctx.ex.subFor(v.Select)
 	if err != nil {
 		return nil, err
 	}
@@ -1041,7 +1035,7 @@ func (ctx *evalCtx) evalScalarSub(v *sqlparser.SubqueryExpr) (*Vector, error) {
 // materialized set, a correlated site scans its candidate rows' projected
 // values — the per-row image of the interpreter's membership set.
 func (ctx *evalCtx) evalInSub(v *sqlparser.InExpr) (*Vector, error) {
-	st, err := ctx.subFor(v.Subquery)
+	st, err := ctx.ex.subFor(v.Subquery)
 	if err != nil {
 		return nil, err
 	}
@@ -1104,71 +1098,80 @@ func (ctx *evalCtx) evalExtract(v *sqlparser.ExtractExpr) (*Vector, error) {
 	n := val.Len()
 	out := NewVector(KindInt, n)
 	for i := 0; i < n; i++ {
-		s := val.At(i)
-		if s.isNull() {
+		r, err := extractScalar(v, val.At(i))
+		switch {
+		case err != nil:
+			return nil, err
+		case r.isNull():
 			out.SetNull(i)
-			continue
-		}
-		if s.kind != KindDate {
-			return nil, errEval(v, fmt.Errorf("EXTRACT requires a date, got %s", s.kind))
-		}
-		y, m, d := dateParts(s.i)
-		switch v.Unit {
-		case "YEAR":
-			out.Ints[i] = int64(y)
-		case "MONTH":
-			out.Ints[i] = int64(m)
 		default:
-			out.Ints[i] = int64(d)
+			out.Ints[i] = r.i
 		}
 	}
 	return out, nil
 }
 
+// extractScalar is EXTRACT over one value; the batch evaluator and the
+// fused closures share it.
+func extractScalar(v *sqlparser.ExtractExpr, s scalar) (scalar, error) {
+	switch {
+	case s.isNull():
+		return nullScalar, nil
+	case s.kind != KindDate:
+		return scalar{}, errEval(v, fmt.Errorf("EXTRACT requires a date, got %s", s.kind))
+	}
+	y, m, d := dateParts(s.i)
+	switch v.Unit {
+	case "YEAR":
+		return scalar{kind: KindInt, i: int64(y)}, nil
+	case "MONTH":
+		return scalar{kind: KindInt, i: int64(m)}, nil
+	default:
+		return scalar{kind: KindInt, i: int64(d)}, nil
+	}
+}
+
 func (ctx *evalCtx) evalSubstring(v *sqlparser.SubstringExpr) (*Vector, error) {
-	val, err := ctx.eval(v.Expr)
-	if err != nil {
-		return nil, err
-	}
-	start, err := ctx.eval(v.Start)
-	if err != nil {
-		return nil, err
-	}
-	var length *Vector
+	args := []sqlparser.Expr{v.Expr, v.Start}
 	if v.Length != nil {
-		if length, err = ctx.eval(v.Length); err != nil {
+		args = append(args, v.Length)
+	}
+	vecs := make([]*Vector, len(args))
+	for k, a := range args {
+		var err error
+		if vecs[k], err = ctx.eval(a); err != nil {
 			return nil, err
 		}
 	}
-	n := val.Len()
+	n := vecs[0].Len()
 	out := NewVector(KindString, n)
+	vals := make([]scalar, len(vecs))
 	for i := 0; i < n; i++ {
-		s := val.At(i)
-		if s.isNull() {
+		for k, vec := range vecs {
+			vals[k] = vec.At(i)
+		}
+		if r := substringScalar(vals); r.isNull() {
 			out.SetNull(i)
-			continue
+		} else {
+			out.Strs[i] = r.s
 		}
-		str := s.render()
-		from := int(start.At(i).intVal()) - 1
-		if from < 0 {
-			from = 0
-		}
-		if from > len(str) {
-			from = len(str)
-		}
-		to := len(str)
-		if length != nil {
-			to = from + int(length.At(i).intVal())
-			if to > len(str) {
-				to = len(str)
-			}
-			if to < from {
-				to = from
-			}
-		}
-		out.Strs[i] = str[from:to]
 	}
 	return out, nil
+}
+
+// substringScalar is SUBSTRING over one row's operands: the string, the
+// 1-based start and, when present, the length.
+func substringScalar(vals []scalar) scalar {
+	if vals[0].isNull() {
+		return nullScalar
+	}
+	str := vals[0].render()
+	from := min(max(int(vals[1].intVal())-1, 0), len(str))
+	to := len(str)
+	if len(vals) > 2 {
+		to = max(min(from+int(vals[2].intVal()), len(str)), from)
+	}
+	return scalar{kind: KindString, s: str[from:to]}
 }
 
 func (ctx *evalCtx) evalCast(v *sqlparser.CastExpr) (*Vector, error) {
@@ -1178,34 +1181,43 @@ func (ctx *evalCtx) evalCast(v *sqlparser.CastExpr) (*Vector, error) {
 	}
 	n := val.Len()
 	bld := newBuilder(n)
+	target := strings.ToLower(v.Type)
 	for i := 0; i < n; i++ {
-		s := val.At(i)
-		if s.isNull() {
-			bld.append(nullScalar)
-			continue
+		r, err := castScalar(val.At(i), target, v.Type)
+		if err != nil {
+			return nil, err
 		}
-		switch strings.ToLower(v.Type) {
-		case "integer", "int", "bigint", "smallint":
-			bld.append(scalar{kind: KindInt, i: s.intVal()})
-		case "double", "float", "real", "decimal", "numeric":
-			bld.append(scalar{kind: KindFloat, f: s.floatVal()})
-		case "varchar", "char", "text", "string":
-			bld.append(scalar{kind: KindString, s: s.render()})
-		case "date":
-			if s.kind == KindDate {
-				bld.append(s)
-				continue
-			}
-			d, err := parseDate(s.render())
-			if err != nil {
-				return nil, fmt.Errorf("invalid date %q: %w", s.render(), err)
-			}
-			bld.append(scalar{kind: KindDate, i: d})
-		default:
-			return nil, fmt.Errorf("unsupported cast target %q", v.Type)
-		}
+		bld.append(r)
 	}
 	return bld.finalize()
+}
+
+// castScalar casts one value to target, the lower-cased form of the
+// written type typ. The target check follows the NULL check, so an
+// unknown target over an all-NULL (or empty) input does not error.
+func castScalar(s scalar, target, typ string) (scalar, error) {
+	if s.isNull() {
+		return nullScalar, nil
+	}
+	switch target {
+	case "integer", "int", "bigint", "smallint":
+		return scalar{kind: KindInt, i: s.intVal()}, nil
+	case "double", "float", "real", "decimal", "numeric":
+		return scalar{kind: KindFloat, f: s.floatVal()}, nil
+	case "varchar", "char", "text", "string":
+		return scalar{kind: KindString, s: s.render()}, nil
+	case "date":
+		if s.kind == KindDate {
+			return s, nil
+		}
+		d, err := parseDate(s.render())
+		if err != nil {
+			return scalar{}, fmt.Errorf("invalid date %q: %w", s.render(), err)
+		}
+		return scalar{kind: KindDate, i: d}, nil
+	default:
+		return scalar{}, fmt.Errorf("unsupported cast target %q", typ)
+	}
 }
 
 func (ctx *evalCtx) evalFunc(v *sqlparser.FuncCall) (*Vector, error) {
@@ -1227,84 +1239,115 @@ func (ctx *evalCtx) evalFunc(v *sqlparser.FuncCall) (*Vector, error) {
 			return nil, err
 		}
 	}
-	switch v.Name {
-	case "abs":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("abs expects 1 argument")
+	apply, err := scalarFunc(v.Name, len(args))
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]scalar, len(args))
+	row := func(i int) scalar {
+		for k, a := range args {
+			vals[k] = a.At(i)
 		}
+		return apply(vals)
+	}
+	switch v.Name {
+	case "length", "char_length":
+		out := NewVector(KindInt, n)
+		for i := 0; i < n; i++ {
+			out.Ints[i] = row(i).i
+		}
+		return out, nil
+	case "upper", "lower":
+		out := NewVector(KindString, n)
+		for i := 0; i < n; i++ {
+			out.Strs[i] = row(i).s
+		}
+		return out, nil
+	case "round":
+		out := NewVector(KindFloat, n)
+		for i := 0; i < n; i++ {
+			out.Floats[i] = row(i).f
+		}
+		return out, nil
+	default: // abs, coalesce: the result kind follows the arguments'
 		bld := newBuilder(n)
 		for i := 0; i < n; i++ {
-			s := args[0].At(i)
+			bld.append(row(i))
+		}
+		return bld.finalize()
+	}
+}
+
+// scalarFunc checks a scalar function's name and arity and returns its
+// per-row form over one row's argument values; the batch evaluator and the
+// fused closures share it.
+func scalarFunc(name string, nargs int) (func(vals []scalar) scalar, error) {
+	switch name {
+	case "abs":
+		if nargs != 1 {
+			return nil, fmt.Errorf("abs expects 1 argument")
+		}
+		return func(vals []scalar) scalar {
+			s := vals[0]
 			if s.isNull() {
-				bld.append(nullScalar)
-				continue
+				return nullScalar
 			}
 			f := s.floatVal()
 			if f < 0 {
 				f = -f
 			}
 			if s.kind == KindInt {
-				bld.append(scalar{kind: KindInt, i: int64(f)})
-			} else {
-				bld.append(scalar{kind: KindFloat, f: f})
+				return scalar{kind: KindInt, i: int64(f)}
 			}
-		}
-		return bld.finalize()
+			return scalar{kind: KindFloat, f: f}
+		}, nil
 	case "length", "char_length":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("%s expects 1 argument", v.Name)
+		if nargs != 1 {
+			return nil, fmt.Errorf("%s expects 1 argument", name)
 		}
-		out := NewVector(KindInt, n)
-		for i := 0; i < n; i++ {
-			out.Ints[i] = int64(len(args[0].At(i).render()))
-		}
-		return out, nil
-	case "upper", "lower":
-		out := NewVector(KindString, n)
-		for i := 0; i < n; i++ {
-			if v.Name == "upper" {
-				out.Strs[i] = strings.ToUpper(args[0].At(i).render())
-			} else {
-				out.Strs[i] = strings.ToLower(args[0].At(i).render())
-			}
-		}
-		return out, nil
+		// No NULL check: the interpreters measure the rendered value, and
+		// NULL renders as the 4-character string "NULL".
+		return func(vals []scalar) scalar {
+			return scalar{kind: KindInt, i: int64(len(vals[0].render()))}
+		}, nil
+	case "upper":
+		return func(vals []scalar) scalar {
+			return scalar{kind: KindString, s: strings.ToUpper(vals[0].render())}
+		}, nil
+	case "lower":
+		return func(vals []scalar) scalar {
+			return scalar{kind: KindString, s: strings.ToLower(vals[0].render())}
+		}, nil
 	case "coalesce":
-		bld := newBuilder(n)
-		for i := 0; i < n; i++ {
-			picked := nullScalar
-			for _, a := range args {
-				if s := a.At(i); !s.isNull() {
-					picked = s
-					break
+		return func(vals []scalar) scalar {
+			for _, s := range vals {
+				if !s.isNull() {
+					return s
 				}
 			}
-			bld.append(picked)
-		}
-		return bld.finalize()
+			return nullScalar
+		}, nil
 	case "round":
-		if len(args) == 0 {
+		if nargs == 0 {
 			return nil, fmt.Errorf("round expects at least 1 argument")
 		}
-		out := NewVector(KindFloat, n)
-		for i := 0; i < n; i++ {
-			f := args[0].At(i).floatVal()
+		return func(vals []scalar) scalar {
+			f := vals[0].floatVal()
 			scale := 0
-			if len(args) > 1 {
-				scale = int(args[1].At(i).intVal())
+			if len(vals) > 1 {
+				scale = int(vals[1].intVal())
 			}
 			mult := 1.0
-			for j := 0; j < scale; j++ {
+			for k := 0; k < scale; k++ {
 				mult *= 10
 			}
 			half := 0.5
 			if f < 0 {
 				half = -0.5
 			}
-			out.Floats[i] = float64(int64(f*mult+half)) / mult
-		}
-		return out, nil
+			return scalar{kind: KindFloat, f: float64(int64(f*mult+half)) / mult}
+		}, nil
 	default:
-		return nil, fmt.Errorf("unknown function %q", v.Name)
+		return nil, fmt.Errorf("unknown function %q", name)
 	}
 }

@@ -31,7 +31,7 @@ type scanOp struct {
 	alias  string
 	meta   []colMeta
 	pos    int
-	zones  []ZonePred
+	zones  []zonePred
 	runs   [][2]int // kept runs of the current window, [lo, hi) row ranges
 	runIdx int
 	span   *trace.Span // nil when tracing is off
@@ -62,15 +62,15 @@ func (s *scanOp) schema() []colMeta { return s.meta }
 // keptRuns appends the maximal runs of zone-satisfiable blocks within
 // window [lo, hi) — block-aligned at lo by construction — and returns the
 // number of skipped blocks. Without zone predicates the window is one run.
-func keptRuns(runs [][2]int, t *Table, zones []ZonePred, lo, hi int) ([][2]int, int64) {
+func keptRuns(runs [][2]int, t *Table, zones []zonePred, lo, hi int) ([][2]int, int64) {
 	if len(zones) == 0 {
 		return append(runs, [2]int{lo, hi}), 0
 	}
 	var skipped int64
 	runStart := -1
-	for b := lo / ZoneBlockRows; b*ZoneBlockRows < hi; b++ {
-		blo := b * ZoneBlockRows
-		if t.BlockMayMatch(zones, b) {
+	for b := lo / zoneBlockRows; b*zoneBlockRows < hi; b++ {
+		blo := b * zoneBlockRows
+		if t.blockMayMatch(zones, b) {
 			if runStart < 0 {
 				runStart = blo
 			}
@@ -124,7 +124,7 @@ func (s *scanOp) next() (*Batch, error) {
 		if s.reuse {
 			b = s.frameBatch(lo, hi)
 		} else {
-			b = &Batch{n: hi - lo, meta: s.meta}
+			b = &Batch{n: hi - lo, meta: s.meta, base: lo}
 			b.cols = make([]*Vector, len(s.table.Cols))
 			for i, c := range s.table.Cols {
 				b.cols[i] = c.Vec.Slice(lo, hi)
@@ -158,7 +158,7 @@ func (s *scanOp) frameBatch(lo, hi int) *Batch {
 		b.selBuf = b.sel[:0]
 		b.sel = nil
 	}
-	b.n = hi - lo
+	b.n, b.base = hi-lo, lo
 	for i, c := range s.table.Cols {
 		sliceInto(&s.frameCols[i], c.Vec, lo, hi)
 	}
@@ -202,10 +202,29 @@ func (d *dualOp) next() (*Batch, error) {
 // selection vector; payload columns are never copied. Batches filtered down
 // to zero rows are skipped.
 type filterOp struct {
-	ex        *executor
-	child     operator
+	ex    *executor
+	child operator
+	filterLayer
+}
+
+// filterLayer is one filter of a pipeline: its conjuncts, their compiled
+// closures when the filter is fused onto a base-table scan (fused.go), and
+// its trace span (nil when tracing is off). The morsel driver applies the
+// same layers per morsel, so pushed-down and residual filters stay
+// attributable to their own operator ids under parallelism.
+type filterLayer struct {
 	conjuncts []sqlparser.Expr
-	span      *trace.Span // nil when tracing is off
+	fused     []cond
+	span      *trace.Span
+}
+
+// apply filters one batch: the fused closure loop when compiled, one
+// vectorized selection pass per conjunct otherwise.
+func (l *filterLayer) apply(ex *executor, b *Batch, st *Stats) error {
+	if l.fused != nil {
+		return applyFused(b, l.fused)
+	}
+	return applyConjuncts(ex, b, l.conjuncts, st)
 }
 
 func (f *filterOp) schema() []colMeta { return f.child.schema() }
@@ -223,7 +242,7 @@ func (f *filterOp) next() (*Batch, error) {
 		if f.span != nil {
 			t0 = time.Now()
 		}
-		if err := applyConjuncts(f.ex, b, f.conjuncts, &f.ex.stats); err != nil {
+		if err := f.apply(f.ex, b, &f.ex.stats); err != nil {
 			return nil, err
 		}
 		if f.span != nil {

@@ -102,7 +102,7 @@ type morselSource struct {
 	scan  bool        // base-table scan: windows count into RowsScanned
 	span  *trace.Span // the scan's span; nil when tracing is off
 	table *Table      // zone-map owner; nil for materialized intermediates
-	zones []ZonePred  // compiled zone predicates; empty disables skipping
+	zones []zonePred  // compiled zone predicates; empty disables skipping
 }
 
 func (s *scanOp) morselSource() morselSource {
@@ -120,7 +120,7 @@ func (m *matOp) morselSource() morselSource {
 
 // window builds the zero-copy batch of rows [lo, hi).
 func (src *morselSource) window(lo, hi int) *Batch {
-	b := &Batch{n: hi - lo, meta: src.meta}
+	b := &Batch{n: hi - lo, meta: src.meta, base: lo}
 	b.cols = make([]*Vector, len(src.cols))
 	for i, c := range src.cols {
 		b.cols[i] = c.Slice(lo, hi)
@@ -143,14 +143,6 @@ func (src *morselSource) morselBounds(m, bs int) (lo, hi int) {
 	return lo, hi
 }
 
-// filterLayer is one filterOp of a decomposed pipeline: its conjuncts plus
-// its trace span, kept separate per layer so pushed-down and residual
-// filters stay attributable to their own operator ids under parallelism.
-type filterLayer struct {
-	conjuncts []sqlparser.Expr
-	span      *trace.Span
-}
-
 // filterMorsel applies the filter layers to one kept run of a morsel in
 // application order; like the serial filter stack, a layer that empties
 // the batch stops the remaining layers from running. When d is non-nil it
@@ -166,7 +158,7 @@ func filterMorsel(ex *executor, b *Batch, layers []filterLayer, st *Stats, d []t
 		t0 = time.Now()
 	}
 	for li := range layers {
-		if err := applyConjuncts(ex, b, layers[li].conjuncts, st); err != nil {
+		if err := layers[li].apply(ex, b, st); err != nil {
 			return err
 		}
 		if d != nil {
@@ -208,7 +200,7 @@ func splitPipeline(op operator) (morselSource, []filterLayer, bool) {
 		case *filterOp:
 			// This filter runs after everything below it: what is already
 			// collected came from operators above, so prepend.
-			layers = append([]filterLayer{{conjuncts: o.conjuncts, span: o.span}}, layers...)
+			layers = append([]filterLayer{o.filterLayer}, layers...)
 			op = o.child
 		case *scanOp:
 			if o.pos != 0 {

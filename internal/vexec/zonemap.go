@@ -6,11 +6,11 @@ import (
 	"sqalpel/internal/sqlparser"
 )
 
-// ZoneBlockRows is the zone-map block granularity. Both shipped batch sizes
+// zoneBlockRows is the zone-map block granularity. Both shipped batch sizes
 // (1024 and 4096) are multiples of it, which is what lets the serial scan,
-// the morsel-parallel scan and cexec's fused loop make identical skip
+// the morsel-parallel scan and the fused closure loop make identical skip
 // decisions: a block never straddles a batch or morsel boundary.
-const ZoneBlockRows = 1024
+const zoneBlockRows = 1024
 
 // zoneClass says which payload domain a column's zone bounds live in. A
 // column is zoneNone when its values cannot be bounded in a way that agrees
@@ -28,7 +28,7 @@ const (
 	zoneStr             // String payloads, raw or dictionary-coded
 )
 
-// zoneEntry is one column's statistics over one ZoneBlockRows-row block.
+// zoneEntry is one column's statistics over one zoneBlockRows-row block.
 // The min/max fields of the column's class are set only when nonNull > 0.
 type zoneEntry struct {
 	nonNull    int
@@ -54,7 +54,7 @@ func numBlocks(rows int) int {
 	if rows <= 0 {
 		return 0
 	}
-	return (rows + ZoneBlockRows - 1) / ZoneBlockRows
+	return (rows + zoneBlockRows - 1) / zoneBlockRows
 }
 
 // buildZoneMap computes block statistics for every column that admits them.
@@ -87,8 +87,8 @@ func buildColumnZones(v *Vector, nb int) (zoneClass, []zoneEntry) {
 	}
 	entries := make([]zoneEntry, nb)
 	for b := 0; b < nb; b++ {
-		lo := b * ZoneBlockRows
-		hi := lo + ZoneBlockRows
+		lo := b * zoneBlockRows
+		hi := lo + zoneBlockRows
 		if hi > v.Len() {
 			hi = v.Len()
 		}
@@ -148,27 +148,27 @@ func (e *zoneEntry) boundScalars(class zoneClass, kind Kind) (lo, hi scalar) {
 	}
 }
 
-// ZonePred is a compiled block-satisfiability test for one pushed-down
+// zonePred is a compiled block-satisfiability test for one pushed-down
 // conjunct: test reports whether ANY row of the block could make the
 // conjunct true. All compiled forms are null-rejecting (a NULL operand
 // yields UNKNOWN, which a filter discards), so an all-NULL block is always
 // skippable under any compiled predicate.
-type ZonePred struct {
+type zonePred struct {
 	col  int
 	test func(e *zoneEntry, class zoneClass, kind Kind) bool
 }
 
-// ZonePreds compiles the pushed-down conjuncts of a scan over this table
+// zonePreds compiles the pushed-down conjuncts of a scan over this table
 // into block-satisfiability predicates. Conjuncts that do not have a
 // supported shape (column-vs-literal comparison, BETWEEN, literal IN list,
 // LIKE with a literal prefix) or that reference unzoned columns compile to
 // nothing — the scan simply cannot skip on them. alias is the scan's
 // binding name for unqualified/qualified column resolution.
-func (t *Table) ZonePreds(alias string, conjuncts []sqlparser.Expr) []ZonePred {
+func (t *Table) zonePreds(alias string, conjuncts []sqlparser.Expr) []zonePred {
 	if t.zones == nil {
 		return nil
 	}
-	var out []ZonePred
+	var out []zonePred
 	for _, e := range conjuncts {
 		if p, ok := t.zonePredFor(alias, e); ok {
 			out = append(out, p)
@@ -177,10 +177,10 @@ func (t *Table) ZonePreds(alias string, conjuncts []sqlparser.Expr) []ZonePred {
 	return out
 }
 
-// BlockMayMatch reports whether block b could contain a row satisfying all
+// blockMayMatch reports whether block b could contain a row satisfying all
 // compiled predicates; a false return is a proof the block cannot, so the
 // scan may skip it without changing results.
-func (t *Table) BlockMayMatch(preds []ZonePred, b int) bool {
+func (t *Table) blockMayMatch(preds []zonePred, b int) bool {
 	for _, p := range preds {
 		e := &t.zones.blocks[p.col][b]
 		if !p.test(e, t.zones.classes[p.col], t.Cols[p.col].Vec.Kind) {
@@ -283,7 +283,7 @@ func zoneComparable(class zoneClass, lit scalar) bool {
 
 // zonePredFor compiles one conjunct; ok is false when the shape or the
 // operand domains are unsupported.
-func (t *Table) zonePredFor(alias string, e sqlparser.Expr) (ZonePred, bool) {
+func (t *Table) zonePredFor(alias string, e sqlparser.Expr) (zonePred, bool) {
 	switch v := stripParens(e).(type) {
 	case *sqlparser.BinaryExpr:
 		op := v.Op
@@ -292,14 +292,14 @@ func (t *Table) zonePredFor(alias string, e sqlparser.Expr) (ZonePred, bool) {
 		if !okc {
 			// mirrored form: literal OP column
 			if op == "LIKE" || op == "NOT LIKE" {
-				return ZonePred{}, false
+				return zonePred{}, false
 			}
 			col, okc = t.zoneColumn(alias, v.Right)
 			litExpr = v.Left
 			op = flipCmp(op)
 		}
 		if !okc {
-			return ZonePred{}, false
+			return zonePred{}, false
 		}
 		if op == "LIKE" {
 			return t.likePred(col, litExpr)
@@ -307,14 +307,14 @@ func (t *Table) zonePredFor(alias string, e sqlparser.Expr) (ZonePred, bool) {
 		switch op {
 		case "=", "<>", "<", "<=", ">", ">=":
 		default:
-			return ZonePred{}, false
+			return zonePred{}, false
 		}
 		lit, okl := zoneLiteral(litExpr)
 		if !okl || !zoneComparable(t.zones.classes[col], lit) {
-			return ZonePred{}, false
+			return zonePred{}, false
 		}
 		cmpOp := op
-		return ZonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
+		return zonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
 			if e.nonNull == 0 || lit.isNull() {
 				return false
 			}
@@ -337,22 +337,22 @@ func (t *Table) zonePredFor(alias string, e sqlparser.Expr) (ZonePred, bool) {
 		}}, true
 	case *sqlparser.BetweenExpr:
 		if v.Not {
-			return ZonePred{}, false
+			return zonePred{}, false
 		}
 		col, okc := t.zoneColumn(alias, v.Expr)
 		if !okc {
-			return ZonePred{}, false
+			return zonePred{}, false
 		}
 		blo, okl := zoneLiteral(v.Lo)
 		bhi, okh := zoneLiteral(v.Hi)
 		if !okl || !okh {
-			return ZonePred{}, false
+			return zonePred{}, false
 		}
 		class := t.zones.classes[col]
 		if !zoneComparable(class, blo) || !zoneComparable(class, bhi) {
-			return ZonePred{}, false
+			return zonePred{}, false
 		}
-		return ZonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
+		return zonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
 			if e.nonNull == 0 || blo.isNull() || bhi.isNull() {
 				// a NULL bound makes BETWEEN at best UNKNOWN for every row
 				return false
@@ -362,25 +362,25 @@ func (t *Table) zonePredFor(alias string, e sqlparser.Expr) (ZonePred, bool) {
 		}}, true
 	case *sqlparser.InExpr:
 		if v.Not || v.Subquery != nil {
-			return ZonePred{}, false
+			return zonePred{}, false
 		}
 		col, okc := t.zoneColumn(alias, v.Expr)
 		if !okc {
-			return ZonePred{}, false
+			return zonePred{}, false
 		}
 		class := t.zones.classes[col]
 		items := make([]scalar, 0, len(v.List))
 		for _, it := range v.List {
 			lit, okl := zoneLiteral(it)
 			if !okl || !zoneComparable(class, lit) {
-				return ZonePred{}, false
+				return zonePred{}, false
 			}
 			if lit.isNull() {
 				continue // a NULL item can only ever contribute UNKNOWN
 			}
 			items = append(items, lit)
 		}
-		return ZonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
+		return zonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
 			if e.nonNull == 0 {
 				return false
 			}
@@ -393,7 +393,7 @@ func (t *Table) zonePredFor(alias string, e sqlparser.Expr) (ZonePred, bool) {
 			return false
 		}}, true
 	default:
-		return ZonePred{}, false
+		return zonePred{}, false
 	}
 }
 
@@ -402,20 +402,20 @@ func (t *Table) zonePredFor(alias string, e sqlparser.Expr) (ZonePred, bool) {
 // matching the pattern starts with the prefix, so it lies in
 // [prefix, nextPrefix(prefix)) under byte-wise ordering — the same ordering
 // strings.Compare and the zone bounds use.
-func (t *Table) likePred(col int, patExpr sqlparser.Expr) (ZonePred, bool) {
+func (t *Table) likePred(col int, patExpr sqlparser.Expr) (zonePred, bool) {
 	if t.zones.classes[col] != zoneStr {
-		return ZonePred{}, false
+		return zonePred{}, false
 	}
 	lit, ok := zoneLiteral(patExpr)
 	if !ok || lit.kind != KindString {
-		return ZonePred{}, false
+		return zonePred{}, false
 	}
 	prefix := likePrefix(lit.s)
 	if prefix == "" {
-		return ZonePred{}, false
+		return zonePred{}, false
 	}
 	upper := nextPrefix(prefix)
-	return ZonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
+	return zonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
 		if e.nonNull == 0 {
 			return false
 		}
