@@ -214,6 +214,42 @@ func TestAllTPCHQueriesDerive(t *testing.T) {
 	}
 }
 
+// TestDerivedGrammarsRoundTrip renders every derived TPC-H grammar and
+// parses it back, the way the platform rebuilds an experiment's pool from
+// its stored grammar text: the start rule, the rendering and the template
+// space must all survive.
+func TestDerivedGrammarsRoundTrip(t *testing.T) {
+	for _, q := range workload.TPCH() {
+		g, err := FromSQL(q.SQL, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		text := g.String()
+		back, err := grammar.Parse(text)
+		if err != nil {
+			t.Fatalf("%s: rendered grammar does not parse: %v", q.ID, err)
+		}
+		if back.Start != g.Start {
+			t.Errorf("%s: start %q became %q", q.ID, g.Start, back.Start)
+		}
+		if back.String() != text {
+			t.Errorf("%s: rendering is not a fixed point", q.ID)
+		}
+		opts := grammar.EnumerateOptions{TemplateCap: 2000, LiteralOnce: true}
+		want, err := g.Space(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		got, err := back.Space(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		if got != want {
+			t.Errorf("%s: space %v after the round trip, want %v", q.ID, got, want)
+		}
+	}
+}
+
 func TestSpaceVariesAcrossQueries(t *testing.T) {
 	// The paper's Table 2 point: the space varies over orders of magnitude.
 	// Q6 (simple) must be far smaller than Q1 (wide projection), and Q19

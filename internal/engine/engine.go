@@ -1,3 +1,37 @@
+// Package engine implements the in-memory SQL execution substrate sqalpel
+// runs experiments against. It provides a relational storage layer
+// (Database/Table with column-major storage), a query executor covering the
+// SQL dialect of internal/sqlparser (joins, sub-queries, grouping,
+// aggregation, ordering), and four execution back-ends with genuinely
+// different performance profiles:
+//
+//   - RowEngine: a tuple-at-a-time interpreter that carries full rows,
+//     evaluates predicates with short-circuiting and avoids intermediate
+//     materialisation — the classic row store profile.
+//   - ColEngine: a column-at-a-time engine that prunes unused columns,
+//     filters with one pass per conjunct, and materialises every arithmetic
+//     intermediate as a full vector with an overflow-guarding widening pass —
+//     the profile of MonetDB-style systems the paper reports on.
+//   - VektorEngine: a batch-vectorized engine (see internal/vexec) working
+//     on typed unboxed vectors with selection vectors and fixed-size batch
+//     pipelines — the VectorWise-style profile; statements outside its
+//     subset fall back to the column interpreter.
+//   - FusilEngine: a data-centric compiled engine (internal/vexec with
+//     Options.Fused) that compiles each scan's pushed-down predicates into
+//     Go closures and runs them row by row in one loop fused onto the scan
+//     — the HyPer-style profile at the scans; its pipeline breakers are the
+//     vectorized engine's, and it covers the same subset with the same
+//     fallback.
+//
+// The engines stand in for the external DBMSs the paper drives over JDBC:
+// discriminative benchmarking needs systems that accept the same dialect
+// but disagree on performance, which is exactly what they provide.
+//
+// Every engine computes with the one SQL value type and scalar algebra of
+// internal/sqlsem: tables store sqlsem.Value columns, results return
+// sqlsem.Value rows, and the interpreters call sqlsem for comparison,
+// hash keys, arithmetic, dates, LIKE, CAST, EXTRACT, SUBSTRING and the
+// scalar functions. The execution counters are vexec.Stats for all of them.
 package engine
 
 import (
@@ -7,7 +41,9 @@ import (
 	"time"
 
 	"sqalpel/internal/plan"
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/trace"
+	"sqalpel/internal/vexec"
 )
 
 // Result is the outcome of executing a query.
@@ -15,9 +51,9 @@ type Result struct {
 	// Columns are the output column names in order.
 	Columns []string
 	// Rows are the output rows.
-	Rows [][]Value
+	Rows [][]sqlsem.Value
 	// Stats are the execution counters of the run.
-	Stats Stats
+	Stats vexec.Stats
 }
 
 // NumRows returns the number of result rows.
@@ -48,7 +84,7 @@ func (r *Result) Fingerprint() string {
 		for i, v := range row {
 			// Round floats so the two engines' different summation orders do
 			// not produce spurious mismatches.
-			if v.Kind == KindFloat {
+			if v.Kind == sqlsem.KindFloat {
 				parts[i] = fmt.Sprintf("%.4f", v.F)
 			} else {
 				parts[i] = v.String()
@@ -169,9 +205,9 @@ func (e *baseEngine) ExecutePlan(db *Database, p *plan.Plan, opts ExecOptions) (
 		return nil, fmt.Errorf("%s: %w", e.name, err)
 	}
 	res := &Result{Columns: rel.columnNames(), Stats: *ex.stats}
-	res.Rows = make([][]Value, rel.numRows())
+	res.Rows = make([][]sqlsem.Value, rel.numRows())
 	for i := 0; i < rel.numRows(); i++ {
-		row := make([]Value, len(rel.cols))
+		row := make([]sqlsem.Value, len(rel.cols))
 		for c := range rel.cols {
 			row[c] = rel.cols[c].vals[i]
 		}

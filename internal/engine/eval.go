@@ -6,27 +6,8 @@ import (
 
 	"sqalpel/internal/sqlparser"
 	"sqalpel/internal/sqlsem"
+	"sqalpel/internal/vexec"
 )
-
-// tri lifts a runtime value into the shared ternary-logic domain: NULL is
-// UNKNOWN, everything else its two-valued truth.
-func tri(v Value) sqlsem.Tri {
-	if v.IsNull() {
-		return sqlsem.Unknown
-	}
-	return sqlsem.Of(v.Bool())
-}
-
-// triValue lowers a ternary truth value back into the value domain: UNKNOWN
-// becomes NULL. Predicate consumers (filters, HAVING, CASE arms, join
-// conditions) never see the NULL — they collapse it with Value.Bool — but a
-// predicate in projection position surfaces it.
-func triValue(t sqlsem.Tri) Value {
-	if !t.Known() {
-		return Null()
-	}
-	return NewBool(t == sqlsem.True)
-}
 
 // scope is one level of column visibility: a relation plus the current row,
 // chained to the enclosing query's scope for correlated sub-queries.
@@ -39,7 +20,8 @@ type scope struct {
 // evaluator evaluates scalar expressions against a scope chain. When group
 // is non-nil the evaluator is in aggregate context: aggregate function calls
 // are computed over the listed row indexes of the scope relation, and plain
-// column references resolve against the first row of the group.
+// column references resolve against the first row of the group (NULL when
+// the group is empty).
 type evaluator struct {
 	ex    *executor
 	sc    *scope
@@ -52,39 +34,44 @@ func errEval(e sqlparser.Expr, err error) error {
 }
 
 // resolve looks a column reference up in the scope chain.
-func (ev *evaluator) resolve(table, name string) (Value, error) {
+func (ev *evaluator) resolve(table, name string) (sqlsem.Value, error) {
 	for s := ev.sc; s != nil; s = s.outer {
 		idx, err := s.rel.findColumn(table, name)
 		if err == nil {
+			if s == ev.sc && ev.group != nil && len(ev.group) == 0 {
+				// The implicit group of an aggregate over no rows has no
+				// first row: a bare column reference in it is NULL.
+				return sqlsem.Null(), nil
+			}
 			return s.rel.value(s.row, idx), nil
 		}
 		if err != errColumnNotFound {
-			return Value{}, err
+			return sqlsem.Value{}, err
 		}
 	}
 	if table != "" {
-		return Value{}, fmt.Errorf("unknown column %s.%s", table, name)
+		return sqlsem.Value{}, fmt.Errorf("unknown column %s.%s", table, name)
 	}
-	return Value{}, fmt.Errorf("unknown column %s", name)
+	return sqlsem.Value{}, fmt.Errorf("unknown column %s", name)
 }
 
 // eval evaluates an expression to a single value.
-func (ev *evaluator) eval(e sqlparser.Expr) (Value, error) {
+func (ev *evaluator) eval(e sqlparser.Expr) (sqlsem.Value, error) {
 	switch v := e.(type) {
 	case *sqlparser.NumberLit:
 		return parseNumber(v.Value), nil
 	case *sqlparser.StringLit:
-		return NewString(v.Value), nil
+		return sqlsem.NewString(v.Value), nil
 	case *sqlparser.BoolLit:
-		return NewBool(v.Value), nil
+		return sqlsem.NewBool(v.Value), nil
 	case *sqlparser.NullLit:
-		return Null(), nil
+		return sqlsem.Null(), nil
 	case *sqlparser.DateLit:
-		d, err := ParseDate(v.Value)
+		d, err := sqlsem.ParseDate(v.Value)
 		if err != nil {
-			return Value{}, errEval(e, err)
+			return sqlsem.Value{}, errEval(e, err)
 		}
-		return NewDate(d), nil
+		return sqlsem.NewDate(d), nil
 	case *sqlparser.IntervalLit:
 		// Bare intervals only appear as the right operand of date arithmetic
 		// which is handled in the BinaryExpr case; evaluating one directly
@@ -109,82 +96,59 @@ func (ev *evaluator) eval(e sqlparser.Expr) (Value, error) {
 	case *sqlparser.ExistsExpr:
 		rel, err := ev.ex.executeSubquery(v.Subquery, ev.sc)
 		if err != nil {
-			return Value{}, errEval(e, err)
+			return sqlsem.Value{}, errEval(e, err)
 		}
 		if v.Not {
-			return NewBool(rel.numRows() == 0), nil
+			return sqlsem.NewBool(rel.numRows() == 0), nil
 		}
-		return NewBool(rel.numRows() > 0), nil
+		return sqlsem.NewBool(rel.numRows() > 0), nil
 	case *sqlparser.IsNullExpr:
 		val, err := ev.eval(v.Expr)
 		if err != nil {
-			return Value{}, err
+			return sqlsem.Value{}, err
 		}
 		if v.Not {
-			return NewBool(!val.IsNull()), nil
+			return sqlsem.NewBool(!val.IsNull()), nil
 		}
-		return NewBool(val.IsNull()), nil
+		return sqlsem.NewBool(val.IsNull()), nil
 	case *sqlparser.SubqueryExpr:
 		rel, err := ev.ex.executeSubquery(v.Select, ev.sc)
 		if err != nil {
-			return Value{}, errEval(e, err)
+			return sqlsem.Value{}, errEval(e, err)
 		}
 		if rel.numRows() == 0 || len(rel.cols) == 0 {
-			return Null(), nil
+			return sqlsem.Null(), nil
 		}
 		return rel.value(0, 0), nil
 	case *sqlparser.ExtractExpr:
 		val, err := ev.eval(v.From)
 		if err != nil {
-			return Value{}, err
+			return sqlsem.Value{}, err
 		}
-		if val.IsNull() {
-			return Null(), nil
+		r, err := sqlsem.Extract(v.Unit, val)
+		if err != nil {
+			return sqlsem.Value{}, errEval(e, err)
 		}
-		if val.Kind != KindDate {
-			return Value{}, errEval(e, fmt.Errorf("EXTRACT requires a date, got %s", val.Kind))
-		}
-		y, m, d := DateParts(val.I)
-		switch v.Unit {
-		case "YEAR":
-			return NewInt(int64(y)), nil
-		case "MONTH":
-			return NewInt(int64(m)), nil
-		default:
-			return NewInt(int64(d)), nil
-		}
+		return r, nil
 	case *sqlparser.SubstringExpr:
 		return ev.evalSubstring(v)
 	case *sqlparser.CastExpr:
 		return ev.evalCast(v)
 	case *sqlparser.ParamRef:
-		return Value{}, fmt.Errorf("unresolved template parameter ${%s}", v.Name)
+		return sqlsem.Value{}, fmt.Errorf("unresolved template parameter ${%s}", v.Name)
 	default:
-		return Value{}, fmt.Errorf("unsupported expression %T", e)
+		return sqlsem.Value{}, fmt.Errorf("unsupported expression %T", e)
 	}
 }
 
-func parseNumber(s string) Value {
-	if !strings.ContainsAny(s, ".eE") {
-		var n int64
-		neg := false
-		for i := 0; i < len(s); i++ {
-			c := s[i]
-			if i == 0 && (c == '-' || c == '+') {
-				neg = c == '-'
-				continue
-			}
-			if c < '0' || c > '9' {
-				return NewFloat(atof(s))
-			}
-			n = n*10 + int64(c-'0')
-		}
-		if neg {
-			n = -n
-		}
-		return NewInt(n)
+// parseNumber parses a numeric literal, coercing what sqlsem.ParseNumber
+// rejects leniently: the longest float prefix, or 0.
+func parseNumber(s string) sqlsem.Value {
+	v, err := sqlsem.ParseNumber(s)
+	if err != nil {
+		return sqlsem.NewFloat(atof(s))
 	}
-	return NewFloat(atof(s))
+	return v
 }
 
 func atof(s string) float64 {
@@ -196,135 +160,111 @@ func atof(s string) float64 {
 	return f
 }
 
-func (ev *evaluator) evalUnary(v *sqlparser.UnaryExpr) (Value, error) {
+func (ev *evaluator) evalUnary(v *sqlparser.UnaryExpr) (sqlsem.Value, error) {
 	val, err := ev.eval(v.Expr)
 	if err != nil {
-		return Value{}, err
+		return sqlsem.Value{}, err
 	}
 	switch v.Op {
 	case "NOT":
-		return triValue(sqlsem.Not(tri(val))), nil
+		return sqlsem.Lower(sqlsem.Not(sqlsem.Lift(val))), nil
 	case "-":
-		if val.IsNull() {
-			return Null(), nil
-		}
-		if val.Kind == KindInt {
-			return NewInt(-val.I), nil
-		}
-		return NewFloat(-val.Float()), nil
+		return sqlsem.Negate(val), nil
 	case "+":
 		return val, nil
 	default:
-		return Value{}, fmt.Errorf("unknown unary operator %q", v.Op)
+		return sqlsem.Value{}, fmt.Errorf("unknown unary operator %q", v.Op)
 	}
 }
 
-func (ev *evaluator) evalBinary(v *sqlparser.BinaryExpr) (Value, error) {
+func (ev *evaluator) evalBinary(v *sqlparser.BinaryExpr) (sqlsem.Value, error) {
 	switch v.Op {
 	case "AND":
 		l, err := ev.eval(v.Left)
 		if err != nil {
-			return Value{}, err
+			return sqlsem.Value{}, err
 		}
-		lt := tri(l)
+		lt := sqlsem.Lift(l)
 		if lt == sqlsem.False {
 			// Definite FALSE short-circuits; UNKNOWN must still see the
 			// right side (UNKNOWN AND FALSE is FALSE, not UNKNOWN).
-			return NewBool(false), nil
+			return sqlsem.NewBool(false), nil
 		}
 		r, err := ev.eval(v.Right)
 		if err != nil {
-			return Value{}, err
+			return sqlsem.Value{}, err
 		}
-		return triValue(sqlsem.And(lt, tri(r))), nil
+		return sqlsem.Lower(sqlsem.And(lt, sqlsem.Lift(r))), nil
 	case "OR":
 		l, err := ev.eval(v.Left)
 		if err != nil {
-			return Value{}, err
+			return sqlsem.Value{}, err
 		}
-		lt := tri(l)
+		lt := sqlsem.Lift(l)
 		if lt == sqlsem.True {
-			return NewBool(true), nil
+			return sqlsem.NewBool(true), nil
 		}
 		r, err := ev.eval(v.Right)
 		if err != nil {
-			return Value{}, err
+			return sqlsem.Value{}, err
 		}
-		return triValue(sqlsem.Or(lt, tri(r))), nil
+		return sqlsem.Lower(sqlsem.Or(lt, sqlsem.Lift(r))), nil
 	}
 
 	// Date +/- INTERVAL handled before generic arithmetic.
 	if iv, ok := v.Right.(*sqlparser.IntervalLit); ok && (v.Op == "+" || v.Op == "-") {
 		l, err := ev.eval(v.Left)
 		if err != nil {
-			return Value{}, err
-		}
-		if l.IsNull() {
-			return Null(), nil
+			return sqlsem.Value{}, err
 		}
 		n := parseNumber(iv.Value).Int()
 		if v.Op == "-" {
 			n = -n
 		}
-		if l.Kind != KindDate {
-			return Value{}, fmt.Errorf("interval arithmetic requires a date, got %s", l.Kind)
-		}
-		d, err := AddInterval(l.I, n, iv.Unit)
-		if err != nil {
-			return Value{}, err
-		}
-		return NewDate(d), nil
+		return sqlsem.AddInterval(l, n, iv.Unit)
 	}
 
 	l, err := ev.eval(v.Left)
 	if err != nil {
-		return Value{}, err
+		return sqlsem.Value{}, err
 	}
 	r, err := ev.eval(v.Right)
 	if err != nil {
-		return Value{}, err
+		return sqlsem.Value{}, err
 	}
 	switch v.Op {
 	case "+", "-", "*", "/", "%", "||":
-		val, err := Arithmetic(v.Op, l, r)
+		val, err := sqlsem.Arithmetic(v.Op, l, r)
 		if err != nil {
-			return Value{}, errEval(v, err)
+			return sqlsem.Value{}, errEval(v, err)
 		}
 		return val, nil
 	case "=", "<>", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return triValue(sqlsem.Unknown), nil
-		}
-		return triValue(sqlsem.Compare(v.Op, Compare(l, r))), nil
+		return sqlsem.Lower(sqlsem.CompareValues(v.Op, l, r)), nil
 	case "LIKE", "NOT LIKE":
-		eitherNull := l.IsNull() || r.IsNull()
-		matched := false
-		if !eitherNull {
-			matched = Like(l.String(), r.String())
-		}
-		return triValue(sqlsem.Like(eitherNull, matched, v.Op == "NOT LIKE")), nil
+		return sqlsem.Lower(sqlsem.LikeValues(l, r, v.Op == "NOT LIKE")), nil
 	default:
-		return Value{}, fmt.Errorf("unknown binary operator %q", v.Op)
+		return sqlsem.Value{}, fmt.Errorf("unknown binary operator %q", v.Op)
 	}
 }
 
-func (ev *evaluator) evalCase(v *sqlparser.CaseExpr) (Value, error) {
-	var operand Value
+func (ev *evaluator) evalCase(v *sqlparser.CaseExpr) (sqlsem.Value, error) {
+	var operand sqlsem.Value
 	var err error
 	if v.Operand != nil {
 		operand, err = ev.eval(v.Operand)
 		if err != nil {
-			return Value{}, err
+			return sqlsem.Value{}, err
 		}
 	}
 	for _, w := range v.Whens {
 		cond, err := ev.eval(w.When)
 		if err != nil {
-			return Value{}, err
+			return sqlsem.Value{}, err
 		}
 		matched := false
 		if v.Operand != nil {
-			matched = Equal(operand, cond)
+			matched = sqlsem.Equal(operand, cond)
 		} else {
 			matched = cond.Bool()
 		}
@@ -335,49 +275,41 @@ func (ev *evaluator) evalCase(v *sqlparser.CaseExpr) (Value, error) {
 	if v.Else != nil {
 		return ev.eval(v.Else)
 	}
-	return Null(), nil
+	return sqlsem.Null(), nil
 }
 
-func (ev *evaluator) evalBetween(v *sqlparser.BetweenExpr) (Value, error) {
+func (ev *evaluator) evalBetween(v *sqlparser.BetweenExpr) (sqlsem.Value, error) {
 	val, err := ev.eval(v.Expr)
 	if err != nil {
-		return Value{}, err
+		return sqlsem.Value{}, err
 	}
 	lo, err := ev.eval(v.Lo)
 	if err != nil {
-		return Value{}, err
+		return sqlsem.Value{}, err
 	}
 	hi, err := ev.eval(v.Hi)
 	if err != nil {
-		return Value{}, err
+		return sqlsem.Value{}, err
 	}
-	geLo := sqlsem.CompareNullable(">=", val.IsNull() || lo.IsNull(), compareNonNull(val, lo))
-	leHi := sqlsem.CompareNullable("<=", val.IsNull() || hi.IsNull(), compareNonNull(val, hi))
-	return triValue(sqlsem.Between(geLo, leHi, v.Not)), nil
+	geLo, leHi := sqlsem.CompareValues(">=", val, lo), sqlsem.CompareValues("<=", val, hi)
+	return sqlsem.Lower(sqlsem.Between(geLo, leHi, v.Not)), nil
 }
 
-// compareNonNull compares two values when neither is NULL; with a NULL
-// operand the result is unused (CompareNullable short-circuits to UNKNOWN)
-// and zero is returned.
-func compareNonNull(a, b Value) int {
-	if a.IsNull() || b.IsNull() {
-		return 0
-	}
-	return Compare(a, b)
-}
-
-func (ev *evaluator) evalIn(v *sqlparser.InExpr) (Value, error) {
+func (ev *evaluator) evalIn(v *sqlparser.InExpr) (sqlsem.Value, error) {
 	val, err := ev.eval(v.Expr)
 	if err != nil {
-		return Value{}, err
+		return sqlsem.Value{}, err
 	}
 	var found, listHasNull, listEmpty bool
 	if v.Subquery != nil {
 		set, hasNull, err := ev.ex.subquerySet(v.Subquery, ev.sc)
 		if err != nil {
-			return Value{}, err
+			return sqlsem.Value{}, err
 		}
-		found = !val.IsNull() && set[val.Key()]
+		if !val.IsNull() {
+			ev.ex.keyBuf = sqlsem.AppendKey(ev.ex.keyBuf[:0], val)
+			found = set[string(ev.ex.keyBuf)]
+		}
 		listHasNull = hasNull
 		listEmpty = len(set) == 0 && !hasNull
 	} else {
@@ -387,9 +319,9 @@ func (ev *evaluator) evalIn(v *sqlparser.InExpr) (Value, error) {
 		for _, item := range v.List {
 			iv, err := ev.eval(item)
 			if err != nil {
-				return Value{}, err
+				return sqlsem.Value{}, err
 			}
-			if Equal(val, iv) {
+			if sqlsem.Equal(val, iv) {
 				found = true
 				break
 			}
@@ -402,173 +334,82 @@ func (ev *evaluator) evalIn(v *sqlparser.InExpr) (Value, error) {
 	if v.Not {
 		t = sqlsem.Not(t)
 	}
-	return triValue(t), nil
+	return sqlsem.Lower(t), nil
 }
 
-func (ev *evaluator) evalSubstring(v *sqlparser.SubstringExpr) (Value, error) {
-	s, err := ev.eval(v.Expr)
-	if err != nil {
-		return Value{}, err
+func (ev *evaluator) evalSubstring(v *sqlparser.SubstringExpr) (sqlsem.Value, error) {
+	var vals [3]sqlsem.Value
+	var err error
+	if vals[0], err = ev.eval(v.Expr); err != nil || vals[0].IsNull() {
+		// A NULL string short-circuits: start and length are not evaluated.
+		return vals[0], err
 	}
-	if s.IsNull() {
-		return Null(), nil
+	if vals[1], err = ev.eval(v.Start); err != nil {
+		return sqlsem.Value{}, err
 	}
-	start, err := ev.eval(v.Start)
-	if err != nil {
-		return Value{}, err
+	if v.Length == nil {
+		return sqlsem.Substring(vals[:2]), nil
 	}
-	str := s.String()
-	from := int(start.Int()) - 1
-	if from < 0 {
-		from = 0
+	if vals[2], err = ev.eval(v.Length); err != nil {
+		return sqlsem.Value{}, err
 	}
-	if from > len(str) {
-		from = len(str)
-	}
-	to := len(str)
-	if v.Length != nil {
-		length, err := ev.eval(v.Length)
-		if err != nil {
-			return Value{}, err
-		}
-		to = from + int(length.Int())
-		if to > len(str) {
-			to = len(str)
-		}
-		if to < from {
-			to = from
-		}
-	}
-	return NewString(str[from:to]), nil
+	return sqlsem.Substring(vals[:]), nil
 }
 
-func (ev *evaluator) evalCast(v *sqlparser.CastExpr) (Value, error) {
+func (ev *evaluator) evalCast(v *sqlparser.CastExpr) (sqlsem.Value, error) {
 	val, err := ev.eval(v.Expr)
 	if err != nil {
-		return Value{}, err
+		return sqlsem.Value{}, err
 	}
-	if val.IsNull() {
-		return Null(), nil
-	}
-	switch strings.ToLower(v.Type) {
-	case "integer", "int", "bigint", "smallint":
-		return NewInt(val.Int()), nil
-	case "double", "float", "real", "decimal", "numeric":
-		return NewFloat(val.Float()), nil
-	case "varchar", "char", "text", "string":
-		return NewString(val.String()), nil
-	case "date":
-		if val.Kind == KindDate {
-			return val, nil
-		}
-		d, err := ParseDate(val.String())
-		if err != nil {
-			return Value{}, err
-		}
-		return NewDate(d), nil
-	default:
-		return Value{}, fmt.Errorf("unsupported cast target %q", v.Type)
-	}
+	return sqlsem.Cast(val, v.Type)
 }
 
 // evalFunc evaluates scalar functions and, in aggregate context, aggregate
 // functions over the current group.
-func (ev *evaluator) evalFunc(v *sqlparser.FuncCall) (Value, error) {
+func (ev *evaluator) evalFunc(v *sqlparser.FuncCall) (sqlsem.Value, error) {
 	if v.IsAggregate() {
 		if ev.group == nil {
-			return Value{}, fmt.Errorf("aggregate %s used outside GROUP BY context", v.Name)
+			return sqlsem.Value{}, fmt.Errorf("aggregate %s used outside GROUP BY context", v.Name)
 		}
 		return ev.evalAggregate(v)
 	}
-	args := make([]Value, len(v.Args))
+	args := make([]sqlsem.Value, len(v.Args))
 	for i, a := range v.Args {
 		val, err := ev.eval(a)
 		if err != nil {
-			return Value{}, err
+			return sqlsem.Value{}, err
 		}
 		args[i] = val
 	}
-	switch v.Name {
-	case "abs":
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("abs expects 1 argument")
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		f := args[0].Float()
-		if f < 0 {
-			f = -f
-		}
-		if args[0].Kind == KindInt {
-			return NewInt(int64(f)), nil
-		}
-		return NewFloat(f), nil
-	case "length", "char_length":
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("%s expects 1 argument", v.Name)
-		}
-		return NewInt(int64(len(args[0].String()))), nil
-	case "upper":
-		return NewString(strings.ToUpper(args[0].String())), nil
-	case "lower":
-		return NewString(strings.ToLower(args[0].String())), nil
-	case "coalesce":
-		for _, a := range args {
-			if !a.IsNull() {
-				return a, nil
-			}
-		}
-		return Null(), nil
-	case "round":
-		if len(args) == 0 {
-			return Value{}, fmt.Errorf("round expects at least 1 argument")
-		}
-		f := args[0].Float()
-		scale := 0
-		if len(args) > 1 {
-			scale = int(args[1].Int())
-		}
-		mult := 1.0
-		for i := 0; i < scale; i++ {
-			mult *= 10
-		}
-		rounded := float64(int64(f*mult+copySign(0.5, f))) / mult
-		return NewFloat(rounded), nil
-	default:
-		return Value{}, fmt.Errorf("unknown function %q", v.Name)
+	apply, err := sqlsem.Func(v.Name, len(args))
+	if err != nil {
+		return sqlsem.Value{}, err
 	}
-}
-
-func copySign(mag, sign float64) float64 {
-	if sign < 0 {
-		return -mag
-	}
-	return mag
+	return apply(args), nil
 }
 
 // evalAggregate computes an aggregate over the evaluator's group rows.
 // The column-at-a-time engine first materialises the argument vector (plus
 // an overflow-guarding widened copy for multiplicative expressions); the
 // row engine folds values directly into the accumulator.
-func (ev *evaluator) evalAggregate(v *sqlparser.FuncCall) (Value, error) {
+func (ev *evaluator) evalAggregate(v *sqlparser.FuncCall) (sqlsem.Value, error) {
 	name := strings.ToLower(v.Name)
 	if v.Star {
 		if name != "count" {
-			return Value{}, fmt.Errorf("%s(*) is not valid", name)
+			return sqlsem.Value{}, fmt.Errorf("%s(*) is not valid", name)
 		}
-		return NewInt(int64(len(ev.group))), nil
+		return sqlsem.NewInt(int64(len(ev.group))), nil
 	}
 	if len(v.Args) != 1 {
-		return Value{}, fmt.Errorf("aggregate %s expects exactly 1 argument", name)
+		return sqlsem.Value{}, fmt.Errorf("aggregate %s expects exactly 1 argument", name)
 	}
 	arg := v.Args[0]
 
-	var vals []Value
+	var vals []sqlsem.Value
 	if ev.ex.mode == ModeColumn {
 		vec, err := ev.materializeVector(arg)
 		if err != nil {
-			return Value{}, err
+			return sqlsem.Value{}, err
 		}
 		vals = vec
 	}
@@ -578,34 +419,35 @@ func (ev *evaluator) evalAggregate(v *sqlparser.FuncCall) (Value, error) {
 		sum      float64
 		sumIsInt = true
 		sumInt   int64
-		min, max Value
+		min, max sqlsem.Value
 		distinct map[string]bool
+		keyBuf   []byte
 	)
 	if v.Distinct {
 		distinct = map[string]bool{}
 	}
-	fold := func(val Value) {
+	fold := func(val sqlsem.Value) {
 		if val.IsNull() {
 			return
 		}
 		if v.Distinct {
-			k := val.Key()
-			if distinct[k] {
+			keyBuf = sqlsem.AppendKey(keyBuf[:0], val)
+			if distinct[string(keyBuf)] {
 				return
 			}
-			distinct[k] = true
+			distinct[string(keyBuf)] = true
 		}
 		count++
-		if val.Kind == KindInt {
+		if val.Kind == sqlsem.KindInt {
 			sumInt += val.I
 		} else {
 			sumIsInt = false
 		}
 		sum += val.Float()
-		if min.Kind == KindNull || Compare(val, min) < 0 {
+		if min.Kind == sqlsem.KindNull || sqlsem.Compare(val, min) < 0 {
 			min = val
 		}
-		if max.Kind == KindNull || Compare(val, max) > 0 {
+		if max.Kind == sqlsem.KindNull || sqlsem.Compare(val, max) > 0 {
 			max = val
 		}
 	}
@@ -620,7 +462,7 @@ func (ev *evaluator) evalAggregate(v *sqlparser.FuncCall) (Value, error) {
 			child.sc.row = ri
 			val, err := child.eval(arg)
 			if err != nil {
-				return Value{}, err
+				return sqlsem.Value{}, err
 			}
 			fold(val)
 		}
@@ -628,32 +470,32 @@ func (ev *evaluator) evalAggregate(v *sqlparser.FuncCall) (Value, error) {
 
 	switch name {
 	case "count":
-		return NewInt(count), nil
+		return sqlsem.NewInt(count), nil
 	case "sum":
 		if count == 0 {
-			return Null(), nil
+			return sqlsem.Null(), nil
 		}
 		if sumIsInt {
-			return NewInt(sumInt), nil
+			return sqlsem.NewInt(sumInt), nil
 		}
-		return NewFloat(sum), nil
+		return sqlsem.NewFloat(sum), nil
 	case "avg":
 		if count == 0 {
-			return Null(), nil
+			return sqlsem.Null(), nil
 		}
-		return NewFloat(sum / float64(count)), nil
+		return sqlsem.NewFloat(sum / float64(count)), nil
 	case "min":
 		if count == 0 {
-			return Null(), nil
+			return sqlsem.Null(), nil
 		}
 		return min, nil
 	case "max":
 		if count == 0 {
-			return Null(), nil
+			return sqlsem.Null(), nil
 		}
 		return max, nil
 	default:
-		return Value{}, fmt.Errorf("unknown aggregate %q", name)
+		return sqlsem.Value{}, fmt.Errorf("unknown aggregate %q", name)
 	}
 }
 
@@ -663,7 +505,7 @@ func (ev *evaluator) evalAggregate(v *sqlparser.FuncCall) (Value, error) {
 // multiplicative expressions over column data an additional widened copy is
 // made, modelling the overflow-guarding type casts the paper identifies as
 // the dominant cost of TPC-H Q1 on MonetDB.
-func (ev *evaluator) materializeVector(e sqlparser.Expr) ([]Value, error) {
+func (ev *evaluator) materializeVector(e sqlparser.Expr) ([]sqlsem.Value, error) {
 	rows := ev.group
 	stats := ev.ex.stats
 	switch v := e.(type) {
@@ -683,9 +525,9 @@ func (ev *evaluator) materializeVector(e sqlparser.Expr) ([]Value, error) {
 				left = widenVector(left, stats)
 				right = widenVector(right, stats)
 			}
-			out := make([]Value, len(rows))
+			out := make([]sqlsem.Value, len(rows))
 			for i := range rows {
-				val, err := Arithmetic(v.Op, left[i], right[i])
+				val, err := sqlsem.Arithmetic(v.Op, left[i], right[i])
 				if err != nil {
 					return nil, errEval(v, err)
 				}
@@ -699,7 +541,7 @@ func (ev *evaluator) materializeVector(e sqlparser.Expr) ([]Value, error) {
 	case *sqlparser.ParenExpr:
 		return ev.materializeVector(v.Expr)
 	case *sqlparser.ColumnRef:
-		out := make([]Value, len(rows))
+		out := make([]sqlsem.Value, len(rows))
 		child := &evaluator{ex: ev.ex, sc: &scope{rel: ev.sc.rel, outer: ev.sc.outer}}
 		for i, ri := range rows {
 			child.sc.row = ri
@@ -719,14 +561,14 @@ func (ev *evaluator) materializeVector(e sqlparser.Expr) ([]Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := make([]Value, len(rows))
+		out := make([]sqlsem.Value, len(rows))
 		for i := range out {
 			out[i] = val
 		}
 		return out, nil
 	}
 	// Fallback: evaluate row-at-a-time into a materialised vector.
-	out := make([]Value, len(rows))
+	out := make([]sqlsem.Value, len(rows))
 	child := &evaluator{ex: ev.ex, sc: &scope{rel: ev.sc.rel, outer: ev.sc.outer}, group: ev.group}
 	for i, ri := range rows {
 		child.sc.row = ri
@@ -752,18 +594,18 @@ func isArithmeticOp(op string) bool {
 
 // widenVector copies a vector into its "wider" representation (floats),
 // accounting the copy as materialised intermediates.
-func widenVector(in []Value, stats *Stats) []Value {
-	out := make([]Value, len(in))
+func widenVector(in []sqlsem.Value, stats *vexec.Stats) []sqlsem.Value {
+	out := make([]sqlsem.Value, len(in))
 	for i, v := range in {
 		if v.IsNull() {
 			out[i] = v
 			continue
 		}
-		if v.Kind == KindString || v.Kind == KindDate {
+		if v.Kind == sqlsem.KindString || v.Kind == sqlsem.KindDate {
 			out[i] = v
 			continue
 		}
-		out[i] = NewFloat(v.Float())
+		out[i] = sqlsem.NewFloat(v.Float())
 	}
 	if stats != nil {
 		stats.IntermediatesMaterialized += int64(len(out))

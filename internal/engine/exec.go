@@ -8,7 +8,9 @@ import (
 
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/trace"
+	"sqalpel/internal/vexec"
 )
 
 // Mode selects the execution strategy of the executor.
@@ -25,75 +27,6 @@ const (
 	// overflow-guarding casts.
 	ModeColumn
 )
-
-// Stats collects execution counters; they feed the open-ended key/value list
-// the driver reports back to the platform.
-type Stats struct {
-	RowsScanned               int64
-	TuplesMaterialized        int64
-	IntermediatesMaterialized int64
-	GuardCasts                int64
-	FilterPasses              int64
-	HashJoins                 int64
-	// JoinBuildRows and JoinProbeRows count the non-NULL-key rows inserted
-	// into and probed against hash-join tables (NULL keys can never match
-	// and are skipped on both sides).
-	JoinBuildRows      int64
-	JoinProbeRows      int64
-	LoopJoins          int64
-	SubqueryExecutions int64
-	Groups             int64
-	// AggRows counts the rows folded into aggregation groups.
-	AggRows      int64
-	RowsReturned int64
-	// Batches counts the fixed-size batches processed by the vectorized
-	// engine; the interpreters always report zero.
-	Batches int64
-	// BlocksSkipped counts zone-map blocks a scan proved unsatisfiable
-	// under its pushed-down predicates and never read; only the typed
-	// engines (vectorized and compiled) can report a non-zero count.
-	BlocksSkipped int64
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.RowsScanned += other.RowsScanned
-	s.TuplesMaterialized += other.TuplesMaterialized
-	s.IntermediatesMaterialized += other.IntermediatesMaterialized
-	s.GuardCasts += other.GuardCasts
-	s.FilterPasses += other.FilterPasses
-	s.HashJoins += other.HashJoins
-	s.JoinBuildRows += other.JoinBuildRows
-	s.JoinProbeRows += other.JoinProbeRows
-	s.LoopJoins += other.LoopJoins
-	s.SubqueryExecutions += other.SubqueryExecutions
-	s.Groups += other.Groups
-	s.AggRows += other.AggRows
-	s.RowsReturned += other.RowsReturned
-	s.Batches += other.Batches
-	s.BlocksSkipped += other.BlocksSkipped
-}
-
-// Map renders the stats as the key/value list reported to the platform.
-func (s Stats) Map() map[string]int64 {
-	return map[string]int64{
-		"rows_scanned":               s.RowsScanned,
-		"tuples_materialized":        s.TuplesMaterialized,
-		"intermediates_materialized": s.IntermediatesMaterialized,
-		"guard_casts":                s.GuardCasts,
-		"filter_passes":              s.FilterPasses,
-		"hash_joins":                 s.HashJoins,
-		"join_build_rows":            s.JoinBuildRows,
-		"join_probe_rows":            s.JoinProbeRows,
-		"loop_joins":                 s.LoopJoins,
-		"subquery_executions":        s.SubqueryExecutions,
-		"groups":                     s.Groups,
-		"agg_rows":                   s.AggRows,
-		"rows_returned":              s.RowsReturned,
-		"batches":                    s.Batches,
-		"blocks_skipped":             s.BlocksSkipped,
-	}
-}
 
 // executionLimits guard against runaway queries: generated query variants
 // may drop join predicates and explode; the executor turns those into
@@ -112,7 +45,7 @@ const defaultMaxJoinRows = 4_000_000
 type executor struct {
 	db     *Database
 	mode   Mode
-	stats  *Stats
+	stats  *vexec.Stats
 	limits executionLimits
 	// guardCasts toggles the overflow-guard widening pass of ModeColumn;
 	// disabling it models a newer engine version that removed the cost.
@@ -125,6 +58,9 @@ type executor struct {
 	// populated when tracing.
 	tracer    *trace.Tracer
 	subPrefix map[*sqlparser.SelectStatement]string
+
+	// keyBuf is the reusable hash-key buffer of IN-sub-query probes.
+	keyBuf []byte
 
 	uncorrCache  map[*sqlparser.SelectStatement]*relation
 	uncorrSets   map[*sqlparser.SelectStatement]subquerySetEntry
@@ -149,7 +85,7 @@ func newExecutor(db *Database, mode Mode, limits executionLimits, guardCasts boo
 	return &executor{
 		db:          db,
 		mode:        mode,
-		stats:       &Stats{},
+		stats:       &vexec.Stats{},
 		limits:      limits,
 		guardCasts:  guardCasts,
 		plan:        p,
@@ -243,11 +179,13 @@ func (ex *executor) subquerySet(stmt *sqlparser.SelectStatement, outer *scope) (
 	}
 	entry := subquerySetEntry{set: map[string]bool{}}
 	if len(rel.cols) > 0 {
+		var buf []byte
 		for _, v := range rel.cols[0].vals {
 			if v.IsNull() {
 				entry.hasNull = true
 			} else {
-				entry.set[v.Key()] = true
+				buf = sqlsem.AppendKey(buf[:0], v)
+				entry.set[string(buf)] = true
 			}
 		}
 	}
@@ -294,13 +232,10 @@ func applySetOp(op string, left, right *relation) (*relation, error) {
 	if len(left.cols) != len(right.cols) {
 		return nil, fmt.Errorf("set operation requires matching column counts (%d vs %d)", len(left.cols), len(right.cols))
 	}
-	rowKey := func(r *relation, i int) string {
-		var sb strings.Builder
-		for _, c := range r.cols {
-			sb.WriteString(c.vals[i].Key())
-			sb.WriteByte('|')
-		}
-		return sb.String()
+	var buf []byte
+	rowKey := func(r *relation, i int) []byte {
+		buf = appendRowKey(buf[:0], r, i)
+		return buf
 	}
 	switch op {
 	case "UNION ALL":
@@ -317,16 +252,16 @@ func applySetOp(op string, left, right *relation) (*relation, error) {
 		var keep []int
 		for i := 0; i < left.numRows(); i++ {
 			k := rowKey(left, i)
-			if !seen[k] {
-				seen[k] = true
+			if !seen[string(k)] {
+				seen[string(k)] = true
 				keep = append(keep, i)
 			}
 		}
 		out := left.selectRows(keep)
 		for i := 0; i < right.numRows(); i++ {
 			k := rowKey(right, i)
-			if !seen[k] {
-				seen[k] = true
+			if !seen[string(k)] {
+				seen[string(k)] = true
 				for ci, c := range out.cols {
 					c.vals = append(c.vals, right.cols[ci].vals[i])
 				}
@@ -337,17 +272,17 @@ func applySetOp(op string, left, right *relation) (*relation, error) {
 	case "EXCEPT", "INTERSECT":
 		rightKeys := map[string]bool{}
 		for i := 0; i < right.numRows(); i++ {
-			rightKeys[rowKey(right, i)] = true
+			rightKeys[string(rowKey(right, i))] = true
 		}
 		var keep []int
 		seen := map[string]bool{}
 		for i := 0; i < left.numRows(); i++ {
 			k := rowKey(left, i)
-			if seen[k] {
+			if seen[string(k)] {
 				continue
 			}
-			seen[k] = true
-			inRight := rightKeys[k]
+			seen[string(k)] = true
+			inRight := rightKeys[string(k)]
 			if (op == "EXCEPT" && !inRight) || (op == "INTERSECT" && inRight) {
 				keep = append(keep, i)
 			}
@@ -356,6 +291,15 @@ func applySetOp(op string, left, right *relation) (*relation, error) {
 	default:
 		return nil, fmt.Errorf("unknown set operation %q", op)
 	}
+}
+
+// appendRowKey appends the hash-key encoding of row i of the relation:
+// every column's sqlsem.AppendKey, each terminated by '|'.
+func appendRowKey(buf []byte, r *relation, i int) []byte {
+	for _, c := range r.cols {
+		buf = append(sqlsem.AppendKey(buf, c.vals[i]), '|')
+	}
+	return buf
 }
 
 func allRows(n int) []int {
@@ -396,7 +340,7 @@ func (ex *executor) executeSelectCore(sp *plan.Select, outer *scope, prefix stri
 	tm.Done(int64(filtered.numRows()))
 
 	var out *relation
-	var sortKeys [][]Value
+	var sortKeys [][]sqlsem.Value
 	if sp.Grouped {
 		out, sortKeys, err = ex.projectGrouped(stmt, filtered, outer, prefix)
 	} else {
@@ -586,12 +530,15 @@ func (ex *executor) hashJoin(left, right *relation, leftKeys, rightKeys []sqlpar
 	}
 	ht := map[string][]int{}
 	bev := &evaluator{ex: ex, sc: &scope{rel: build, outer: outer}}
+	var key []byte
 	for i := 0; i < build.numRows(); i++ {
 		if err := ex.checkDeadline(); err != nil {
 			return nil, err
 		}
 		bev.sc.row = i
-		key, hasNull, err := joinKey(bev, buildKeys)
+		var hasNull bool
+		var err error
+		key, hasNull, err = evalKey(key[:0], bev, buildKeys)
 		if err != nil {
 			return nil, err
 		}
@@ -600,7 +547,8 @@ func (ex *executor) hashJoin(left, right *relation, leftKeys, rightKeys []sqlpar
 			continue
 		}
 		ex.stats.JoinBuildRows++
-		ht[key] = append(ht[key], i)
+		k := string(key)
+		ht[k] = append(ht[k], i)
 	}
 	var probeIdx, buildIdx []int
 	pev := &evaluator{ex: ex, sc: &scope{rel: probe, outer: outer}}
@@ -609,7 +557,9 @@ func (ex *executor) hashJoin(left, right *relation, leftKeys, rightKeys []sqlpar
 			return nil, err
 		}
 		pev.sc.row = i
-		key, hasNull, err := joinKey(pev, probeKeys)
+		var hasNull bool
+		var err error
+		key, hasNull, err = evalKey(key[:0], pev, probeKeys)
 		if err != nil {
 			return nil, err
 		}
@@ -617,7 +567,7 @@ func (ex *executor) hashJoin(left, right *relation, leftKeys, rightKeys []sqlpar
 			continue
 		}
 		ex.stats.JoinProbeRows++
-		for _, bi := range ht[key] {
+		for _, bi := range ht[string(key)] {
 			probeIdx = append(probeIdx, i)
 			buildIdx = append(buildIdx, bi)
 			if len(probeIdx) > ex.limits.maxJoinRows {
@@ -636,25 +586,24 @@ func (ex *executor) hashJoin(left, right *relation, leftKeys, rightKeys []sqlpar
 	return out, nil
 }
 
-// joinKey encodes the equi-join key values of the current row. hasNull
-// reports a NULL among the key values: per the ternary contract
-// (internal/sqlsem) an equality with a NULL operand is UNKNOWN, so such
-// rows can never satisfy the join condition — callers must skip them
-// instead of letting NULL keys bucket together.
-func joinKey(ev *evaluator, keys []sqlparser.Expr) (key string, hasNull bool, err error) {
-	var sb strings.Builder
+// evalKey appends the hash-key encoding of the key expressions at the
+// current row (join and GROUP BY keys): every value's sqlsem.AppendKey,
+// each terminated by '|'. hasNull reports a NULL among the key values: per
+// the ternary contract (internal/sqlsem) an equality with a NULL operand is
+// UNKNOWN, so join callers must skip such rows instead of letting NULL keys
+// bucket together.
+func evalKey(buf []byte, ev *evaluator, keys []sqlparser.Expr) (key []byte, hasNull bool, err error) {
 	for _, k := range keys {
 		v, err := ev.eval(k)
 		if err != nil {
-			return "", false, err
+			return buf, false, err
 		}
 		if v.IsNull() {
 			hasNull = true
 		}
-		sb.WriteString(v.Key())
-		sb.WriteByte('|')
+		buf = append(sqlsem.AppendKey(buf, v), '|')
 	}
-	return sb.String(), hasNull, nil
+	return buf, hasNull, nil
 }
 
 // crossJoin builds the cartesian product, guarded by the join-size limit.
@@ -693,25 +642,26 @@ func (ex *executor) nestedLoopJoin(left, right *relation, conds []sqlparser.Expr
 // The equi keys and residual predicates come pre-classified from the plan.
 func (ex *executor) leftOuterJoin(left, right *relation, j *plan.Join, outer *scope) (*relation, error) {
 	leftKeys, rightKeys, residual := j.LeftKeys, j.RightKeys, j.Residual
-	// Hash the right side by the equi keys (or a single bucket when none).
+	// Hash the right side by the equi keys (or a single bucket when none:
+	// the empty key).
 	ht := map[string][]int{}
 	rev := &evaluator{ex: ex, sc: &scope{rel: right, outer: outer}}
+	var key []byte
 	for i := 0; i < right.numRows(); i++ {
 		rev.sc.row = i
-		key := ""
-		if len(rightKeys) > 0 {
-			k, hasNull, err := joinKey(rev, rightKeys)
-			if err != nil {
-				return nil, err
-			}
-			if hasNull {
-				// NULL = anything is UNKNOWN: the row cannot match.
-				continue
-			}
-			key = k
+		var hasNull bool
+		var err error
+		key, hasNull, err = evalKey(key[:0], rev, rightKeys)
+		if err != nil {
+			return nil, err
+		}
+		if hasNull {
+			// NULL = anything is UNKNOWN: the row cannot match.
+			continue
 		}
 		ex.stats.JoinBuildRows++
-		ht[key] = append(ht[key], i)
+		k := string(key)
+		ht[k] = append(ht[k], i)
 	}
 	ex.stats.HashJoins++
 
@@ -723,17 +673,14 @@ func (ex *executor) leftOuterJoin(left, right *relation, j *plan.Join, outer *sc
 		}
 		ex.stats.JoinProbeRows++
 		lev.sc.row = i
-		key := ""
-		keyNull := false
-		if len(leftKeys) > 0 {
-			k, hasNull, err := joinKey(lev, leftKeys)
-			if err != nil {
-				return nil, err
-			}
-			key, keyNull = k, hasNull
+		var keyNull bool
+		var err error
+		key, keyNull, err = evalKey(key[:0], lev, leftKeys)
+		if err != nil {
+			return nil, err
 		}
 		matched := false
-		candidates := ht[key]
+		candidates := ht[string(key)]
 		if keyNull {
 			// A NULL key never matches; the left row survives
 			// null-extended below, per LEFT JOIN semantics.
@@ -772,10 +719,10 @@ func (ex *executor) leftOuterJoin(left, right *relation, j *plan.Join, outer *sc
 	out := left.selectRows(leftIdx)
 	rightPart := &relation{n: len(rightIdx)}
 	for _, c := range right.cols {
-		vals := make([]Value, len(rightIdx))
+		vals := make([]sqlsem.Value, len(rightIdx))
 		for i, ri := range rightIdx {
 			if ri < 0 {
-				vals[i] = Null()
+				vals[i] = sqlsem.Null()
 			} else {
 				vals[i] = c.vals[ri]
 			}
@@ -791,10 +738,10 @@ func (ex *executor) leftOuterJoin(left, right *relation, j *plan.Join, outer *sc
 func pairScope(left *relation, li int, right *relation, ri int, outer *scope) *scope {
 	pair := &relation{n: 1}
 	for _, c := range left.cols {
-		pair.cols = append(pair.cols, &relColumn{table: c.table, name: c.name, vals: []Value{c.vals[li]}})
+		pair.cols = append(pair.cols, &relColumn{table: c.table, name: c.name, vals: []sqlsem.Value{c.vals[li]}})
 	}
 	for _, c := range right.cols {
-		pair.cols = append(pair.cols, &relColumn{table: c.table, name: c.name, vals: []Value{c.vals[ri]}})
+		pair.cols = append(pair.cols, &relColumn{table: c.table, name: c.name, vals: []sqlsem.Value{c.vals[ri]}})
 	}
 	return &scope{rel: pair, row: 0, outer: outer}
 }
@@ -868,7 +815,7 @@ func (ex *executor) applyFilter(rel *relation, conjuncts []sqlparser.Expr, outer
 
 // projectRows computes the projection of a non-grouped query, returning the
 // output relation plus the ORDER BY sort keys evaluated in the same context.
-func (ex *executor) projectRows(stmt *sqlparser.SelectStatement, rel *relation, outer *scope) (*relation, [][]Value, error) {
+func (ex *executor) projectRows(stmt *sqlparser.SelectStatement, rel *relation, outer *scope) (*relation, [][]sqlsem.Value, error) {
 	items, starCols := expandProjection(stmt, rel)
 	out := &relation{n: rel.numRows()}
 	for _, sc := range starCols {
@@ -881,7 +828,7 @@ func (ex *executor) projectRows(stmt *sqlparser.SelectStatement, rel *relation, 
 		out.cols = append(out.cols, &relColumn{table: "", name: it.name, vals: nil})
 	}
 
-	sortKeys := make([][]Value, rel.numRows())
+	sortKeys := make([][]sqlsem.Value, rel.numRows())
 	ev := &evaluator{ex: ex, sc: &scope{rel: rel, outer: outer}}
 	for ri := 0; ri < rel.numRows(); ri++ {
 		if err := ex.checkDeadline(); err != nil {
@@ -917,7 +864,7 @@ func (ex *executor) projectRows(stmt *sqlparser.SelectStatement, rel *relation, 
 
 // projectGrouped computes grouping, aggregation, HAVING and the projection
 // of a grouped query.
-func (ex *executor) projectGrouped(stmt *sqlparser.SelectStatement, rel *relation, outer *scope, prefix string) (*relation, [][]Value, error) {
+func (ex *executor) projectGrouped(stmt *sqlparser.SelectStatement, rel *relation, outer *scope, prefix string) (*relation, [][]sqlsem.Value, error) {
 	// Build groups.
 	var atm trace.Timer
 	if ex.traced(prefix) {
@@ -935,23 +882,20 @@ func (ex *executor) projectGrouped(stmt *sqlparser.SelectStatement, rel *relatio
 		order = append(order, key)
 	} else {
 		ev := &evaluator{ex: ex, sc: &scope{rel: rel, outer: outer}}
+		var buf []byte
 		for ri := 0; ri < rel.numRows(); ri++ {
 			if err := ex.checkDeadline(); err != nil {
 				return nil, nil, err
 			}
 			ev.sc.row = ri
-			var sb strings.Builder
-			for _, g := range stmt.GroupBy {
-				v, err := ev.eval(g)
-				if err != nil {
-					return nil, nil, err
-				}
-				sb.WriteString(v.Key())
-				sb.WriteByte('|')
+			var err error
+			// NULL keys group together: hasNull is irrelevant here.
+			if buf, _, err = evalKey(buf[:0], ev, stmt.GroupBy); err != nil {
+				return nil, nil, err
 			}
-			key := sb.String()
-			entry, ok := groups[key]
+			entry, ok := groups[string(buf)]
 			if !ok {
+				key := string(buf)
 				entry = &groupEntry{}
 				groups[key] = entry
 				order = append(order, key)
@@ -979,7 +923,7 @@ func (ex *executor) projectGrouped(stmt *sqlparser.SelectStatement, rel *relatio
 	if ex.traced(prefix) {
 		ptm = ex.tracer.Span(trace.ProjectID(prefix), trace.KindProject).Start()
 	}
-	var sortKeys [][]Value
+	var sortKeys [][]sqlsem.Value
 	for _, key := range order {
 		entry := groups[key]
 		gev := &evaluator{ex: ex, sc: &scope{rel: rel, outer: outer}, group: entry.rows}
@@ -1056,8 +1000,8 @@ func expandProjection(stmt *sqlparser.SelectStatement, rel *relation) ([]project
 // orderKeys evaluates the ORDER BY expressions for the current output row.
 // A bare column reference naming a projection alias sorts by that output
 // column; everything else is evaluated in the current row/group context.
-func (ex *executor) orderKeys(stmt *sqlparser.SelectStatement, ev *evaluator, out *relation, outRow int, items []projectionItem) ([]Value, error) {
-	keys := make([]Value, len(stmt.OrderBy))
+func (ex *executor) orderKeys(stmt *sqlparser.SelectStatement, ev *evaluator, out *relation, outRow int, items []projectionItem) ([]sqlsem.Value, error) {
+	keys := make([]sqlsem.Value, len(stmt.OrderBy))
 	for i, ob := range stmt.OrderBy {
 		if cr, ok := ob.Expr.(*sqlparser.ColumnRef); ok && cr.Table == "" {
 			matched := false
@@ -1110,18 +1054,14 @@ func itemColumn(items []projectionItem, numOutCols, itemIdx int) int {
 }
 
 // distinctRows removes duplicate output rows (and their sort keys).
-func distinctRows(rel *relation, sortKeys [][]Value) (*relation, [][]Value) {
+func distinctRows(rel *relation, sortKeys [][]sqlsem.Value) (*relation, [][]sqlsem.Value) {
 	seen := map[string]bool{}
 	var keep []int
+	var buf []byte
 	for i := 0; i < rel.numRows(); i++ {
-		var sb strings.Builder
-		for _, c := range rel.cols {
-			sb.WriteString(c.vals[i].Key())
-			sb.WriteByte('|')
-		}
-		k := sb.String()
-		if !seen[k] {
-			seen[k] = true
+		buf = appendRowKey(buf[:0], rel, i)
+		if !seen[string(buf)] {
+			seen[string(buf)] = true
 			keep = append(keep, i)
 		}
 	}
@@ -1129,7 +1069,7 @@ func distinctRows(rel *relation, sortKeys [][]Value) (*relation, [][]Value) {
 	if sortKeys == nil {
 		return out, nil
 	}
-	var keys [][]Value
+	var keys [][]sqlsem.Value
 	for _, i := range keep {
 		if i < len(sortKeys) {
 			keys = append(keys, sortKeys[i])
@@ -1139,12 +1079,12 @@ func distinctRows(rel *relation, sortKeys [][]Value) (*relation, [][]Value) {
 }
 
 // sortRelation sorts the output rows by the precomputed keys.
-func sortRelation(rel *relation, keys [][]Value, orderBy []sqlparser.OrderItem) *relation {
+func sortRelation(rel *relation, keys [][]sqlsem.Value, orderBy []sqlparser.OrderItem) *relation {
 	idx := allRows(rel.numRows())
 	sort.SliceStable(idx, func(a, b int) bool {
 		ka, kb := keys[idx[a]], keys[idx[b]]
 		for i := range orderBy {
-			c := Compare(ka[i], kb[i])
+			c := sqlsem.Compare(ka[i], kb[i])
 			if c == 0 {
 				continue
 			}

@@ -3,6 +3,8 @@ package engine
 import (
 	"strings"
 	"testing"
+
+	"sqalpel/internal/sqlsem"
 )
 
 // nullDB is a tiny table with NULL-rich columns used to pin the ternary
@@ -24,24 +26,24 @@ func nullDB() *Database {
 	)
 	rows := []struct {
 		id int64
-		a  Value
-		s  Value
+		a  sqlsem.Value
+		s  sqlsem.Value
 	}{
-		{1, NewInt(1), NewString("alpha")},
-		{2, NewInt(2), Null()},
-		{3, Null(), NewString("beta")},
-		{4, NewInt(4), Null()},
-		{5, Null(), NewString("gamma")},
-		{6, NewInt(6), NewString("alto")},
+		{1, sqlsem.NewInt(1), sqlsem.NewString("alpha")},
+		{2, sqlsem.NewInt(2), sqlsem.Null()},
+		{3, sqlsem.Null(), sqlsem.NewString("beta")},
+		{4, sqlsem.NewInt(4), sqlsem.Null()},
+		{5, sqlsem.Null(), sqlsem.NewString("gamma")},
+		{6, sqlsem.NewInt(6), sqlsem.NewString("alto")},
 	}
 	for _, r := range rows {
-		t.MustAppendRow(NewInt(r.id), r.a, r.s)
+		t.MustAppendRow(sqlsem.NewInt(r.id), r.a, r.s)
 	}
 	db.AddTable(t)
 	return db
 }
 
-// runAllEngines executes the query on all five registry engines and asserts
+// runAllEngines executes the query on all six registry engines and asserts
 // they return bit-identical results; the first engine's result is returned.
 func runAllEngines(t *testing.T, db *Database, sql string) *Result {
 	t.Helper()
@@ -272,12 +274,12 @@ func TestNullAndOrCase(t *testing.T) {
 func TestNullJoinKeys(t *testing.T) {
 	db := NewDatabase("nulljoin")
 	t1 := NewTable("t1", Column{Name: "x", Type: TypeInt})
-	for _, v := range []Value{NewInt(1), Null(), NewInt(2)} {
+	for _, v := range []sqlsem.Value{sqlsem.NewInt(1), sqlsem.Null(), sqlsem.NewInt(2)} {
 		t1.MustAppendRow(v)
 	}
 	db.AddTable(t1)
 	t2 := NewTable("t2", Column{Name: "y", Type: TypeInt})
-	for _, v := range []Value{NewInt(1), Null(), NewInt(3)} {
+	for _, v := range []sqlsem.Value{sqlsem.NewInt(1), sqlsem.Null(), sqlsem.NewInt(3)} {
 		t2.MustAppendRow(v)
 	}
 	db.AddTable(t2)
@@ -318,4 +320,26 @@ func TestNullLiteralPredicates(t *testing.T) {
 	sql = "SELECT id, NULL NOT LIKE 'a%' AS p FROM t WHERE id = 1"
 	res = runAllEngines(t, db, sql)
 	expectRows(t, sql, res, []string{"1|NULL"})
+}
+
+// TestEmptyImplicitGroup pins aggregates over no rows without GROUP BY:
+// the implicit group still yields one row, and a bare column in it — it
+// has no first row to read — is NULL on every engine.
+func TestEmptyImplicitGroup(t *testing.T) {
+	db := NewDatabase("nation")
+	nation := NewTable("nation",
+		Column{Name: "n_nationkey", Type: TypeInt},
+		Column{Name: "n_name", Type: TypeString},
+	)
+	nation.MustAppendRow(sqlsem.NewInt(0), sqlsem.NewString("ALGERIA"))
+	nation.MustAppendRow(sqlsem.NewInt(1), sqlsem.NewString("ARGENTINA"))
+	db.AddTable(nation)
+
+	sql := "SELECT n_nationkey, count(*) FROM nation WHERE n_name = 'nope'"
+	res := runAllEngines(t, db, sql)
+	expectRows(t, sql, res, []string{"NULL|0"})
+
+	sql = "SELECT n_name, sum(n_nationkey) AS s FROM nation WHERE n_nationkey > 5 ORDER BY n_name"
+	res = runAllEngines(t, db, sql)
+	expectRows(t, sql, res, []string{"NULL|NULL"})
 }

@@ -3,6 +3,9 @@ package engine
 import (
 	"fmt"
 	"strings"
+
+	"sqalpel/internal/sqlsem"
+	"sqalpel/internal/vexec"
 )
 
 // relColumn is one column of an intermediate relation: the table alias it
@@ -10,7 +13,7 @@ import (
 type relColumn struct {
 	table string
 	name  string
-	vals  []Value
+	vals  []sqlsem.Value
 }
 
 // relation is the runtime representation flowing between operators:
@@ -24,7 +27,7 @@ type relation struct {
 func newRelation() *relation { return &relation{} }
 
 // addColumn appends a column; all columns must have the same length.
-func (r *relation) addColumn(table, name string, vals []Value) {
+func (r *relation) addColumn(table, name string, vals []sqlsem.Value) {
 	r.cols = append(r.cols, &relColumn{table: strings.ToLower(table), name: strings.ToLower(name), vals: vals})
 	if len(r.cols) == 1 {
 		r.n = len(vals)
@@ -66,14 +69,14 @@ func (r *relation) findColumn(table, name string) (int, error) {
 var errColumnNotFound = fmt.Errorf("column not found")
 
 // value returns the value at (row, col).
-func (r *relation) value(row, col int) Value { return r.cols[col].vals[row] }
+func (r *relation) value(row, col int) sqlsem.Value { return r.cols[col].vals[row] }
 
 // project returns a new relation with only the rows whose indexes are given,
 // copying the values (the cost of tuple reconstruction).
 func (r *relation) selectRows(rows []int) *relation {
 	out := &relation{n: len(rows)}
 	for _, c := range r.cols {
-		vals := make([]Value, len(rows))
+		vals := make([]sqlsem.Value, len(rows))
 		for i, ri := range rows {
 			vals[i] = c.vals[ri]
 		}
@@ -93,7 +96,7 @@ func (r *relation) appendColumns(cols []*relColumn) {
 // columns are included. When copy is true the column vectors are copied,
 // modelling a row store that reconstructs full tuples from its pages; when
 // false the relation aliases the table storage directly.
-func tableRelation(t *Table, alias string, needed map[string]bool, copyCols bool, stats *Stats) *relation {
+func tableRelation(t *Table, alias string, needed map[string]bool, copyCols bool, stats *vexec.Stats) *relation {
 	if alias == "" {
 		alias = t.Name
 	}
@@ -105,7 +108,7 @@ func tableRelation(t *Table, alias string, needed map[string]bool, copyCols bool
 		}
 		vals := t.ColumnValues(i)
 		if copyCols {
-			cp := make([]Value, len(vals))
+			cp := make([]sqlsem.Value, len(vals))
 			copy(cp, vals)
 			vals = cp
 			if stats != nil {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"sqalpel/internal/sqlsem"
 )
 
 // ColumnType is the declared type of a table column.
@@ -45,7 +47,7 @@ type Table struct {
 	Name    string
 	Columns []Column
 
-	cols    [][]Value
+	cols    [][]sqlsem.Value
 	rows    int
 	byName  map[string]int
 	version uint64
@@ -54,7 +56,7 @@ type Table struct {
 // NewTable creates an empty table with the given schema.
 func NewTable(name string, columns ...Column) *Table {
 	t := &Table{Name: name, Columns: columns, byName: map[string]int{}}
-	t.cols = make([][]Value, len(columns))
+	t.cols = make([][]sqlsem.Value, len(columns))
 	for i, c := range columns {
 		t.byName[strings.ToLower(c.Name)] = i
 	}
@@ -78,7 +80,7 @@ func (t *Table) ColumnIndex(name string) int {
 // AppendRow adds one row; the number of values must match the column count
 // and each value must be compatible with the declared column type (NULLs are
 // always accepted).
-func (t *Table) AppendRow(vals ...Value) error {
+func (t *Table) AppendRow(vals ...sqlsem.Value) error {
 	if len(vals) != len(t.Columns) {
 		return fmt.Errorf("table %s: row has %d values, want %d", t.Name, len(vals), len(t.Columns))
 	}
@@ -102,7 +104,7 @@ func (t *Table) AppendRow(vals ...Value) error {
 // SetValue overwrites the value at (row, col) in place, type-checked against
 // the declared column type, and bumps the data version so caches built over
 // the old contents are invalidated.
-func (t *Table) SetValue(row, col int, v Value) error {
+func (t *Table) SetValue(row, col int, v sqlsem.Value) error {
 	if row < 0 || row >= t.rows || col < 0 || col >= len(t.Columns) {
 		return fmt.Errorf("table %s: position (%d,%d) out of range", t.Name, row, col)
 	}
@@ -122,37 +124,37 @@ func (t *Table) Version() uint64 { return t.version }
 
 // MustAppendRow is AppendRow that panics on schema mismatch; used by data
 // generators whose schemas are statically correct.
-func (t *Table) MustAppendRow(vals ...Value) {
+func (t *Table) MustAppendRow(vals ...sqlsem.Value) {
 	if err := t.AppendRow(vals...); err != nil {
 		panic(err)
 	}
 }
 
-func typeCompatible(ct ColumnType, k Kind) bool {
+func typeCompatible(ct ColumnType, k sqlsem.Kind) bool {
 	switch ct {
 	case TypeInt:
-		return k == KindInt || k == KindBool
+		return k == sqlsem.KindInt || k == sqlsem.KindBool
 	case TypeFloat:
-		return k == KindFloat || k == KindInt
+		return k == sqlsem.KindFloat || k == sqlsem.KindInt
 	case TypeString:
-		return k == KindString
+		return k == sqlsem.KindString
 	case TypeDate:
-		return k == KindDate
+		return k == sqlsem.KindDate
 	default:
 		return false
 	}
 }
 
 // Value returns the value at (row, col).
-func (t *Table) Value(row, col int) Value { return t.cols[col][row] }
+func (t *Table) Value(row, col int) sqlsem.Value { return t.cols[col][row] }
 
 // ColumnValues returns the backing slice of a column; callers must not
 // modify it.
-func (t *Table) ColumnValues(col int) []Value { return t.cols[col] }
+func (t *Table) ColumnValues(col int) []sqlsem.Value { return t.cols[col] }
 
 // Row materialises a single row; mostly used by tests.
-func (t *Table) Row(row int) []Value {
-	out := make([]Value, len(t.Columns))
+func (t *Table) Row(row int) []sqlsem.Value {
+	out := make([]sqlsem.Value, len(t.Columns))
 	for c := range t.Columns {
 		out[c] = t.cols[c][row]
 	}
@@ -166,7 +168,7 @@ func (t *Table) EstimatedBytes() int64 {
 	for c := range t.Columns {
 		for _, v := range t.cols[c] {
 			switch v.Kind {
-			case KindString:
+			case sqlsem.KindString:
 				total += int64(len(v.S)) + 16
 			default:
 				total += 16

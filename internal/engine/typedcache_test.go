@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/vexec"
 )
 
@@ -16,7 +17,7 @@ func cacheFixture(rows int) (*Database, *Table) {
 		Column{Name: "x", Type: TypeInt},
 	)
 	for i := 0; i < rows; i++ {
-		tab.MustAppendRow(NewString(words[i%len(words)]), NewInt(int64(i)))
+		tab.MustAppendRow(sqlsem.NewString(words[i%len(words)]), sqlsem.NewInt(int64(i)))
 	}
 	db := NewDatabase("d")
 	db.AddTable(tab)
@@ -50,7 +51,7 @@ func TestTypedCacheRebuildsEncodingsOnVersionBump(t *testing.T) {
 
 	// A mutation invalidates: the rebuilt table must carry the new value in
 	// its dictionary and cover the appended row with its zone maps.
-	tab.MustAppendRow(NewString("zeta"), NewInt(9999))
+	tab.MustAppendRow(sqlsem.NewString("zeta"), sqlsem.NewInt(9999))
 	vt2, err := tc.typedTable(db, tab)
 	if err != nil {
 		t.Fatal(err)

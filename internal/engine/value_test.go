@@ -3,63 +3,65 @@ package engine
 import (
 	"testing"
 	"testing/quick"
+
+	"sqalpel/internal/sqlsem"
 )
 
 func TestValueConstructorsAndConversions(t *testing.T) {
-	if !Null().IsNull() {
+	if !sqlsem.Null().IsNull() {
 		t.Error("Null should be null")
 	}
-	if NewInt(42).Int() != 42 || NewInt(42).Float() != 42 {
+	if sqlsem.NewInt(42).Int() != 42 || sqlsem.NewInt(42).Float() != 42 {
 		t.Error("int conversions wrong")
 	}
-	if NewFloat(2.5).Float() != 2.5 || NewFloat(2.5).Int() != 2 {
+	if sqlsem.NewFloat(2.5).Float() != 2.5 || sqlsem.NewFloat(2.5).Int() != 2 {
 		t.Error("float conversions wrong")
 	}
-	if NewString("abc").String() != "abc" {
+	if sqlsem.NewString("abc").String() != "abc" {
 		t.Error("string round trip wrong")
 	}
-	if !NewBool(true).Bool() || NewBool(false).Bool() {
+	if !sqlsem.NewBool(true).Bool() || sqlsem.NewBool(false).Bool() {
 		t.Error("bool wrong")
 	}
-	if Null().Bool() {
+	if sqlsem.Null().Bool() {
 		t.Error("null must not be truthy")
 	}
-	if NewString("3.5").Float() != 3.5 {
+	if sqlsem.NewString("3.5").Float() != 3.5 {
 		t.Error("string to float conversion wrong")
 	}
 }
 
 func TestCompareAndEqual(t *testing.T) {
 	cases := []struct {
-		a, b Value
+		a, b sqlsem.Value
 		want int
 	}{
-		{NewInt(1), NewInt(2), -1},
-		{NewInt(2), NewInt(2), 0},
-		{NewFloat(2.5), NewInt(2), 1},
-		{NewString("apple"), NewString("banana"), -1},
-		{NewDate(100), NewDate(99), 1},
-		{NewInt(5), NewFloat(5.0), 0},
-		{Null(), NewInt(1), -1},
-		{Null(), Null(), 0},
+		{sqlsem.NewInt(1), sqlsem.NewInt(2), -1},
+		{sqlsem.NewInt(2), sqlsem.NewInt(2), 0},
+		{sqlsem.NewFloat(2.5), sqlsem.NewInt(2), 1},
+		{sqlsem.NewString("apple"), sqlsem.NewString("banana"), -1},
+		{sqlsem.NewDate(100), sqlsem.NewDate(99), 1},
+		{sqlsem.NewInt(5), sqlsem.NewFloat(5.0), 0},
+		{sqlsem.Null(), sqlsem.NewInt(1), -1},
+		{sqlsem.Null(), sqlsem.Null(), 0},
 	}
 	for _, c := range cases {
-		if got := Compare(c.a, c.b); got != c.want {
+		if got := sqlsem.Compare(c.a, c.b); got != c.want {
 			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
-	if Equal(Null(), Null()) {
+	if sqlsem.Equal(sqlsem.Null(), sqlsem.Null()) {
 		t.Error("NULL = NULL must be false in SQL semantics")
 	}
-	if !Equal(NewInt(3), NewFloat(3)) {
+	if !sqlsem.Equal(sqlsem.NewInt(3), sqlsem.NewFloat(3)) {
 		t.Error("3 should equal 3.0")
 	}
 }
 
 func TestArithmetic(t *testing.T) {
-	check := func(op string, a, b Value, want Value) {
+	check := func(op string, a, b sqlsem.Value, want sqlsem.Value) {
 		t.Helper()
-		got, err := Arithmetic(op, a, b)
+		got, err := sqlsem.Arithmetic(op, a, b)
 		if err != nil {
 			t.Fatalf("Arithmetic(%s) error: %v", op, err)
 		}
@@ -67,58 +69,58 @@ func TestArithmetic(t *testing.T) {
 			t.Errorf("Arithmetic(%v %s %v) = %v, want %v", a, op, b, got, want)
 		}
 	}
-	check("+", NewInt(2), NewInt(3), NewInt(5))
-	check("*", NewInt(4), NewInt(5), NewInt(20))
-	check("-", NewFloat(1.5), NewFloat(0.5), NewFloat(1))
-	check("/", NewInt(10), NewInt(4), NewFloat(2.5))
-	check("/", NewInt(10), NewInt(5), NewInt(2))
-	check("%", NewInt(10), NewInt(3), NewInt(1))
-	check("+", NewDate(10), NewInt(5), NewDate(15))
-	check("-", NewDate(10), NewDate(3), NewInt(7))
-	check("||", NewString("a"), NewString("b"), NewString("ab"))
+	check("+", sqlsem.NewInt(2), sqlsem.NewInt(3), sqlsem.NewInt(5))
+	check("*", sqlsem.NewInt(4), sqlsem.NewInt(5), sqlsem.NewInt(20))
+	check("-", sqlsem.NewFloat(1.5), sqlsem.NewFloat(0.5), sqlsem.NewFloat(1))
+	check("/", sqlsem.NewInt(10), sqlsem.NewInt(4), sqlsem.NewFloat(2.5))
+	check("/", sqlsem.NewInt(10), sqlsem.NewInt(5), sqlsem.NewInt(2))
+	check("%", sqlsem.NewInt(10), sqlsem.NewInt(3), sqlsem.NewInt(1))
+	check("+", sqlsem.NewDate(10), sqlsem.NewInt(5), sqlsem.NewDate(15))
+	check("-", sqlsem.NewDate(10), sqlsem.NewDate(3), sqlsem.NewInt(7))
+	check("||", sqlsem.NewString("a"), sqlsem.NewString("b"), sqlsem.NewString("ab"))
 
-	if v, _ := Arithmetic("/", NewInt(1), NewInt(0)); !v.IsNull() {
+	if v, _ := sqlsem.Arithmetic("/", sqlsem.NewInt(1), sqlsem.NewInt(0)); !v.IsNull() {
 		t.Error("division by zero should be NULL")
 	}
-	if v, _ := Arithmetic("+", Null(), NewInt(1)); !v.IsNull() {
+	if v, _ := sqlsem.Arithmetic("+", sqlsem.Null(), sqlsem.NewInt(1)); !v.IsNull() {
 		t.Error("NULL arithmetic should be NULL")
 	}
-	if _, err := Arithmetic("*", NewString("x"), NewInt(1)); err == nil {
+	if _, err := sqlsem.Arithmetic("*", sqlsem.NewString("x"), sqlsem.NewInt(1)); err == nil {
 		t.Error("string multiplication should error")
 	}
 }
 
 func TestDates(t *testing.T) {
-	d, err := ParseDate("1998-12-01")
+	d, err := sqlsem.ParseDate("1998-12-01")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if FormatDate(d) != "1998-12-01" {
-		t.Errorf("date round trip = %s", FormatDate(d))
+	if sqlsem.FormatDate(d) != "1998-12-01" {
+		t.Errorf("date round trip = %s", sqlsem.FormatDate(d))
 	}
-	y, m, day := DateParts(d)
+	y, m, day := sqlsem.DateParts(d)
 	if y != 1998 || m != 12 || day != 1 {
 		t.Errorf("DateParts = %d-%d-%d", y, m, day)
 	}
-	minus90, err := AddInterval(d, -90, "DAY")
+	minus90, err := sqlsem.AddInterval(sqlsem.NewDate(d), -90, "DAY")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if FormatDate(minus90) != "1998-09-02" {
-		t.Errorf("1998-12-01 - 90 days = %s", FormatDate(minus90))
+	if minus90.String() != "1998-09-02" {
+		t.Errorf("1998-12-01 - 90 days = %s", minus90.String())
 	}
-	plus3m, _ := AddInterval(MustParseDate("1993-07-01"), 3, "MONTH")
-	if FormatDate(plus3m) != "1993-10-01" {
-		t.Errorf("+3 months = %s", FormatDate(plus3m))
+	plus3m, _ := sqlsem.AddInterval(sqlsem.NewDate(sqlsem.MustParseDate("1993-07-01")), 3, "MONTH")
+	if plus3m.String() != "1993-10-01" {
+		t.Errorf("+3 months = %s", plus3m.String())
 	}
-	plus1y, _ := AddInterval(MustParseDate("1994-01-01"), 1, "YEAR")
-	if FormatDate(plus1y) != "1995-01-01" {
-		t.Errorf("+1 year = %s", FormatDate(plus1y))
+	plus1y, _ := sqlsem.AddInterval(sqlsem.NewDate(sqlsem.MustParseDate("1994-01-01")), 1, "YEAR")
+	if plus1y.String() != "1995-01-01" {
+		t.Errorf("+1 year = %s", plus1y.String())
 	}
-	if _, err := ParseDate("not-a-date"); err == nil {
+	if _, err := sqlsem.ParseDate("not-a-date"); err == nil {
 		t.Error("invalid date should fail")
 	}
-	if _, err := AddInterval(d, 1, "HOUR"); err == nil {
+	if _, err := sqlsem.AddInterval(sqlsem.NewDate(d), 1, "HOUR"); err == nil {
 		t.Error("unknown interval unit should fail")
 	}
 }
@@ -126,7 +128,7 @@ func TestDates(t *testing.T) {
 func TestDatePropertyRoundTrip(t *testing.T) {
 	f := func(n uint16) bool {
 		days := int64(n) // 0 .. ~179 years after 1970 stays in range
-		return MustParseDate(FormatDate(days)) == days
+		return sqlsem.MustParseDate(sqlsem.FormatDate(days)) == days
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -153,20 +155,20 @@ func TestLike(t *testing.T) {
 		{"abc", "ab", false},
 	}
 	for _, c := range cases {
-		if got := Like(c.s, c.p); got != c.want {
+		if got := sqlsem.Like(c.s, c.p); got != c.want {
 			t.Errorf("Like(%q, %q) = %v, want %v", c.s, c.p, got, c.want)
 		}
 	}
 }
 
 func TestValueKeyDistinguishesKinds(t *testing.T) {
-	if NewInt(1).Key() == NewString("1").Key() {
+	if string(sqlsem.AppendKey(nil, sqlsem.NewInt(1))) == string(sqlsem.AppendKey(nil, sqlsem.NewString("1"))) {
 		t.Error("int 1 and string '1' must have different keys")
 	}
-	if NewInt(5).Key() != NewFloat(5).Key() {
+	if string(sqlsem.AppendKey(nil, sqlsem.NewInt(5))) != string(sqlsem.AppendKey(nil, sqlsem.NewFloat(5))) {
 		t.Error("numeric 5 and 5.0 should share a key for joins")
 	}
-	if NewDate(3).Key() == NewInt(3).Key() {
+	if string(sqlsem.AppendKey(nil, sqlsem.NewDate(3))) == string(sqlsem.AppendKey(nil, sqlsem.NewInt(3))) {
 		t.Error("date and int keys should differ")
 	}
 }
@@ -176,16 +178,16 @@ func TestTableSchemaEnforcement(t *testing.T) {
 		Column{Name: "a", Type: TypeInt},
 		Column{Name: "b", Type: TypeString},
 	)
-	if err := tbl.AppendRow(NewInt(1), NewString("x")); err != nil {
+	if err := tbl.AppendRow(sqlsem.NewInt(1), sqlsem.NewString("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.AppendRow(NewInt(1)); err == nil {
+	if err := tbl.AppendRow(sqlsem.NewInt(1)); err == nil {
 		t.Error("wrong arity should fail")
 	}
-	if err := tbl.AppendRow(NewString("bad"), NewString("x")); err == nil {
+	if err := tbl.AppendRow(sqlsem.NewString("bad"), sqlsem.NewString("x")); err == nil {
 		t.Error("type mismatch should fail")
 	}
-	if err := tbl.AppendRow(Null(), Null()); err != nil {
+	if err := tbl.AppendRow(sqlsem.Null(), sqlsem.Null()); err != nil {
 		t.Errorf("nulls should be accepted: %v", err)
 	}
 	if tbl.NumRows() != 2 {

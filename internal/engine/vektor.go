@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sqalpel/internal/plan"
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/vexec"
 )
 
@@ -158,43 +159,13 @@ func (e *vektorEngine) Execute(db *Database, sql string, opts ExecOptions) (*Res
 		return nil, fmt.Errorf("%s: %w", e.name, err)
 	}
 
-	out := &Result{
-		Columns: res.Columns,
-		Stats: Stats{
-			RowsScanned:        res.Stats.RowsScanned,
-			Batches:            res.Stats.Batches,
-			FilterPasses:       res.Stats.FilterPasses,
-			HashJoins:          res.Stats.HashJoins,
-			JoinBuildRows:      res.Stats.JoinBuildRows,
-			JoinProbeRows:      res.Stats.JoinProbeRows,
-			LoopJoins:          res.Stats.LoopJoins,
-			Groups:             res.Stats.Groups,
-			AggRows:            res.Stats.AggRows,
-			RowsReturned:       res.Stats.RowsReturned,
-			SubqueryExecutions: res.Stats.SubqueryExecutions,
-			BlocksSkipped:      res.Stats.BlocksSkipped,
-		},
-	}
+	out := &Result{Columns: res.Columns, Stats: res.Stats}
 	n := res.NumRows()
-	out.Rows = make([][]Value, n)
+	out.Rows = make([][]sqlsem.Value, n)
 	for i := 0; i < n; i++ {
-		row := make([]Value, len(res.Cols))
+		row := make([]sqlsem.Value, len(res.Cols))
 		for c, vec := range res.Cols {
-			kind, iv, fv, sv := vec.ValueAt(i)
-			switch kind {
-			case vexec.KindNull:
-				row[c] = Null()
-			case vexec.KindBool:
-				row[c] = Value{Kind: KindBool, I: iv}
-			case vexec.KindInt:
-				row[c] = NewInt(iv)
-			case vexec.KindFloat:
-				row[c] = NewFloat(fv)
-			case vexec.KindString:
-				row[c] = NewString(sv)
-			case vexec.KindDate:
-				row[c] = NewDate(iv)
-			}
+			row[c] = vec.At(i)
 		}
 		out.Rows[i] = row
 	}
@@ -305,31 +276,16 @@ func buildTypedTable(t *Table) (*vexec.Table, error) {
 const maxTypedTables = 64
 
 // typedColumn decodes one boxed column into a typed vector through vexec's
-// value builder, so boxed-storage decoding and the executor's own kind
-// promotion (including the per-row int/float duality a float column may
-// legally carry) share one algorithm. All-NULL columns become KindNull
-// vectors, which behave identically to typed all-NULL vectors. Columns
-// mixing incompatible kinds report ErrUnsupported, routing such databases
-// to the interpreter.
-func typedColumn(vals []Value) (*vexec.Vector, error) {
-	vb := vexec.NewValueBuilder(len(vals))
+// builder, so boxed-storage decoding and the executor's own kind promotion
+// (including the per-row int/float duality a float column may legally
+// carry) share one algorithm. All-NULL columns become KindNull vectors,
+// which behave identically to typed all-NULL vectors. Columns mixing
+// incompatible kinds report ErrUnsupported, routing such databases to the
+// interpreter.
+func typedColumn(vals []sqlsem.Value) (*vexec.Vector, error) {
+	b := vexec.NewBuilder(len(vals))
 	for _, v := range vals {
-		switch v.Kind {
-		case KindNull:
-			vb.AppendNull()
-		case KindBool:
-			vb.Append(vexec.KindBool, v.I, 0, "")
-		case KindInt:
-			vb.Append(vexec.KindInt, v.I, 0, "")
-		case KindFloat:
-			vb.Append(vexec.KindFloat, 0, v.F, "")
-		case KindString:
-			vb.Append(vexec.KindString, 0, 0, v.S)
-		case KindDate:
-			vb.Append(vexec.KindDate, v.I, 0, "")
-		default:
-			vb.AppendNull()
-		}
+		b.Append(v)
 	}
-	return vb.Finalize()
+	return b.Finalize()
 }

@@ -27,6 +27,7 @@ import (
 	"sqalpel/internal/engine"
 	"sqalpel/internal/grammar"
 	"sqalpel/internal/pool"
+	"sqalpel/internal/sqlsem"
 )
 
 // GrammarSource is the sqalpel grammar spanning the fuzzer's query space
@@ -301,9 +302,9 @@ func fingerprintRows(r *engine.Result) []string {
 		parts := make([]string, len(row))
 		for i, v := range row {
 			switch v.Kind {
-			case engine.KindNull:
+			case sqlsem.KindNull:
 				parts[i] = "null"
-			case engine.KindFloat:
+			case sqlsem.KindFloat:
 				parts[i] = "float:" + strconv.FormatUint(math.Float64bits(v.F), 16)
 			default:
 				parts[i] = v.Kind.String() + ":" + v.String()

@@ -6,6 +6,7 @@ import (
 
 	"sqalpel/internal/engine"
 	"sqalpel/internal/grammar"
+	"sqalpel/internal/sqlsem"
 )
 
 // TestDifferentialFuzz is the standing correctness oracle: at least 500
@@ -99,19 +100,19 @@ func TestGrammarCoversTernaryConstructs(t *testing.T) {
 // TestFingerprintExactness makes sure the fingerprint distinguishes what
 // engines must not confuse: NULL vs false, and floats by bit pattern.
 func TestFingerprintExactness(t *testing.T) {
-	mk := func(v engine.Value) string {
-		return Fingerprint(&engine.Result{Columns: []string{"c"}, Rows: [][]engine.Value{{v}}})
+	mk := func(v sqlsem.Value) string {
+		return Fingerprint(&engine.Result{Columns: []string{"c"}, Rows: [][]sqlsem.Value{{v}}})
 	}
-	if mk(engine.Null()) == mk(engine.NewBool(false)) {
+	if mk(sqlsem.Null()) == mk(sqlsem.NewBool(false)) {
 		t.Error("fingerprint confuses NULL with false")
 	}
 	// Runtime addition (constant folding would make these equal): 0.1+0.2
 	// differs from 0.3 in the last bit, and the fingerprint must see it.
 	a, b := 0.1, 0.2
-	if mk(engine.NewFloat(a+b)) == mk(engine.NewFloat(0.3)) {
+	if mk(sqlsem.NewFloat(a+b)) == mk(sqlsem.NewFloat(0.3)) {
 		t.Error("fingerprint rounds floats (0.1+0.2 vs 0.3 must differ)")
 	}
-	if mk(engine.NewInt(1)) == mk(engine.NewBool(true)) {
+	if mk(sqlsem.NewInt(1)) == mk(sqlsem.NewBool(true)) {
 		t.Error("fingerprint confuses int 1 with bool true")
 	}
 }

@@ -245,10 +245,21 @@ func (g *Grammar) Literals() []Literal {
 	return lits
 }
 
-// String renders the grammar in its source syntax.
+// String renders the grammar in its source syntax. Parse takes the first
+// rule as the start rule, so the start rule is rendered first and the
+// others follow in definition order: Parse(g.String()) keeps Start.
 func (g *Grammar) String() string {
+	rules := g.Rules
+	if start := g.Rule(g.Start); start != nil && rules[0] != start {
+		rules = []*Rule{start}
+		for _, r := range g.Rules {
+			if r != start {
+				rules = append(rules, r)
+			}
+		}
+	}
 	var sb strings.Builder
-	for i, r := range g.Rules {
+	for i, r := range rules {
 		if i > 0 {
 			sb.WriteString("\n")
 		}
@@ -373,6 +384,11 @@ func parseAlternative(text string, line int) (Alternative, error) {
 		sp := strings.IndexAny(text, " \t")
 		if sp < 0 {
 			return alt, fmt.Errorf("line %d: dialect tag %q without a snippet", line, text)
+		}
+		if sp == 1 {
+			// An empty tag would render as a bare snippet, which re-parses
+			// differently (as a comment, or as a tag of its own).
+			return alt, fmt.Errorf("line %d: empty dialect tag in %q", line, text)
 		}
 		alt.Dialect = strings.ToLower(text[1:sp])
 		text = strings.TrimSpace(text[sp:])

@@ -223,9 +223,46 @@ func TestStringRoundTrip(t *testing.T) {
 	if len(g2.Rules) != len(g.Rules) {
 		t.Fatalf("round trip rule count = %d, want %d", len(g2.Rules), len(g.Rules))
 	}
+	if g2.Start != g.Start {
+		t.Errorf("round trip start = %q, want %q", g2.Start, g.Start)
+	}
 	if g.String() != g2.String() {
 		t.Errorf("grammar rendering is not a fixed point:\n%s\n---\n%s", g.String(), g2.String())
 	}
+
+	// A start rule defined after the rules it references (as derived
+	// grammars build it) must survive the round trip too.
+	built := New("query")
+	built.AddRule(&Rule{Name: "l_col", Alternatives: []Alternative{{Elements: []Element{{Text: "a"}}}}})
+	built.AddRule(&Rule{Name: "query", Alternatives: []Alternative{{Elements: []Element{{Text: "SELECT"}, {Ref: "l_col"}}}}})
+	if back := mustParseGrammar(t, built.String()); back.Start != "query" {
+		t.Errorf("round trip start = %q, want query:\n%s", back.Start, built.String())
+	}
+}
+
+// FuzzGrammarRoundTrip checks the rendering contract on arbitrary sources:
+// whatever parses renders to a source that parses back to the same start
+// rule and renders identically again.
+func FuzzGrammarRoundTrip(f *testing.F) {
+	f.Add(figure1)
+	f.Add("A:\n@ #")
+	f.Fuzz(func(t *testing.T, src string) {
+		g, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := g.String()
+		g2, err := Parse(text)
+		if err != nil {
+			t.Fatalf("rendering does not parse: %v\nsource %q\nrendered %q", err, src, text)
+		}
+		if g2.Start != g.Start {
+			t.Fatalf("start %q became %q\nrendered %q", g.Start, g2.Start, text)
+		}
+		if again := g2.String(); again != text {
+			t.Fatalf("rendering is not a fixed point:\n%q\n%q", text, again)
+		}
+	})
 }
 
 func TestCloneIsDeep(t *testing.T) {

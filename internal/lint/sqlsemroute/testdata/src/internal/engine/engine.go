@@ -1,55 +1,38 @@
-// Package engine is the sqlsemroute fixture: a miniature of the real
-// nullable Value type and the two-valued expression shapes the analyzer
-// must flag, plus the shapes it must leave alone.
+// Package engine is the sqlsemroute fixture for the interpreters: the
+// two-valued expression shapes over sqlsem.Value the analyzer must flag,
+// plus the shapes it must leave alone.
 package engine
 
-// Kind discriminates the value representations; KindNull marks SQL NULL.
-type Kind int
-
-const (
-	KindNull Kind = iota
-	KindInt
-	KindFloat
-)
-
-// Value is the nullable SQL value (a miniature of the real engine.Value).
-type Value struct {
-	Kind Kind
-	I    int64
-	F    float64
-}
-
-// Bool collapses NULL to false — legitimate only at a predicate consumer.
-func (v Value) Bool() bool { return v.Kind == KindInt && v.I != 0 }
+import "internal/sqlsem"
 
 // rawEq is the NULL-blind, representation-sensitive shape: struct equality
 // says NULL == NULL and 1 != 1.0.
-func rawEq(a, b Value) bool {
-	return a == b // want `raw == comparison of engine.Value`
+func rawEq(a, b sqlsem.Value) bool {
+	return a == b // want `raw == comparison of sqlsem.Value`
 }
 
-func rawNeq(a, b Value) bool {
-	return a != b // want `raw != comparison of engine.Value`
+func rawNeq(a, b sqlsem.Value) bool {
+	return a != b // want `raw != comparison of sqlsem.Value`
 }
 
 // collapsedAnd combines predicates after collapsing each to a bool,
 // losing UNKNOWN before the connective.
-func collapsedAnd(a, b Value) bool {
+func collapsedAnd(a, b sqlsem.Value) bool {
 	return a.Bool() && b.Bool() // want `&& over Value.Bool\(\) collapses NULL to false`
 }
 
-func collapsedOr(a Value, other bool) bool {
+func collapsedOr(a sqlsem.Value, other bool) bool {
 	return other || a.Bool() // want `\|\| over Value.Bool\(\) collapses NULL to false`
 }
 
 // collapsedNot turns UNKNOWN into TRUE.
-func collapsedNot(a Value) bool {
+func collapsedNot(a sqlsem.Value) bool {
 	return !a.Bool() // want `! over Value.Bool\(\) collapses NULL to false`
 }
 
 // kindCompare compares the discriminants, not the values: Kind has its own
 // two-valued identity and is exempt.
-func kindCompare(a, b Value) bool {
+func kindCompare(a, b sqlsem.Value) bool {
 	return a.Kind == b.Kind
 }
 
@@ -60,7 +43,7 @@ func plainBools(x, y bool) bool {
 }
 
 // consumerCollapse is the blessed boundary shape, waived with a reason.
-func consumerCollapse(conjuncts []Value) bool {
+func consumerCollapse(conjuncts []sqlsem.Value) bool {
 	for _, v := range conjuncts {
 		//lint:nullsafe consumer collapse: the filter boundary rejects UNKNOWN rows, per SQL semantics
 		if !v.Bool() {

@@ -29,9 +29,12 @@ func Key(catalog any, version uint64, sql string) CacheKey {
 type Cache struct {
 	mu      sync.Mutex
 	entries map[CacheKey]cacheEntry
-	cap     int
-	hits    uint64
-	misses  uint64
+	// building holds the keys whose plan is being built; the channel
+	// closes when the build's entry is in.
+	building map[CacheKey]chan struct{}
+	cap      int
+	hits     uint64
+	misses   uint64
 }
 
 type cacheEntry struct {
@@ -45,21 +48,32 @@ func NewCache(capEntries int) *Cache {
 	if capEntries <= 0 {
 		capEntries = DefaultCacheEntries
 	}
-	return &Cache{entries: map[CacheKey]cacheEntry{}, cap: capEntries}
+	return &Cache{entries: map[CacheKey]cacheEntry{}, building: map[CacheKey]chan struct{}{}, cap: capEntries}
 }
 
 // GetOrBuild returns the cached plan for the key, building and inserting it
-// on a miss. The build runs outside the lock; concurrent misses on the same
-// key may build twice and the last insert wins — plans are immutable and
-// equivalent, so sharing either is correct.
+// on a miss. The build runs outside the lock; concurrent lookups of a key
+// being built wait for that build and count as hits, so each key is built
+// once.
 func (c *Cache) GetOrBuild(key CacheKey, build func() (*Plan, error)) (*Plan, error) {
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.hits++
+	for {
+		if e, ok := c.entries[key]; ok {
+			c.hits++
+			c.mu.Unlock()
+			return e.p, e.err
+		}
+		done, ok := c.building[key]
+		if !ok {
+			break
+		}
 		c.mu.Unlock()
-		return e.p, e.err
+		<-done
+		c.mu.Lock()
 	}
 	c.misses++
+	done := make(chan struct{})
+	c.building[key] = done
 	c.mu.Unlock()
 
 	p, err := build()
@@ -86,6 +100,8 @@ func (c *Cache) GetOrBuild(key CacheKey, build func() (*Plan, error)) (*Plan, er
 		}
 	}
 	c.entries[key] = cacheEntry{p: p, err: err}
+	delete(c.building, key)
+	close(done)
 	c.mu.Unlock()
 	return p, err
 }

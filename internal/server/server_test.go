@@ -657,6 +657,45 @@ func TestConcurrentGrowsSerialize(t *testing.T) {
 	}
 }
 
+// TestRestartedPoolKeepsBaseline restarts the server over the same store,
+// so the next grow rebuilds the experiment's pool from its stored grammar
+// text: the rebuilt pool must start from the baseline query the experiment
+// was created with.
+func TestRestartedPoolKeepsBaseline(t *testing.T) {
+	c, s := newTestClient(t)
+	c.token = c.register("martin", "martin@example.org")
+	pid, eid, _ := createProjectWithExperiment(t, c)
+	baseline := func(c *testClient) string {
+		t.Helper()
+		status, resp := c.do("GET", fmt.Sprintf("/api/projects/%d/experiments/%d/queries", pid, eid), nil)
+		if status != http.StatusOK {
+			t.Fatalf("queries = %d %v", status, resp)
+		}
+		first := resp["_list"].([]any)[0].(map[string]any)
+		if first["strategy"] != "baseline" {
+			t.Fatalf("first query is not the baseline: %v", first)
+		}
+		return first["sql"].(string)
+	}
+	want := baseline(c)
+
+	restarted := httptest.NewServer(New(Options{Store: s.Store()}))
+	t.Cleanup(restarted.Close)
+	rc := &testClient{t: t, srv: restarted}
+	status, resp := rc.do("POST", "/api/login", map[string]string{"nickname": "martin", "email": "martin@example.org"})
+	if status != http.StatusOK {
+		t.Fatalf("login = %d %v", status, resp)
+	}
+	rc.token = resp["token"].(string)
+	status, resp = rc.do("POST", fmt.Sprintf("/api/projects/%d/experiments/%d/grow", pid, eid), map[string]int{"count": 2})
+	if status != http.StatusOK {
+		t.Fatalf("grow = %d %v", status, resp)
+	}
+	if got := baseline(rc); got != want {
+		t.Errorf("rebuilt pool's baseline = %q, want %q", got, want)
+	}
+}
+
 // TestOversizedBodyIs413 checks the request-body bound: a JSON body past
 // maxRequestBody is refused with 413 before it is decoded, while a
 // malformed small body stays a 400.

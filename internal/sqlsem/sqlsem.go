@@ -1,15 +1,19 @@
-// Package sqlsem is the single source of truth for SQL's three-valued
-// (ternary) logic, shared by every execution paradigm: the row and column
-// interpreters of internal/engine and the batch-vectorized executor of
-// internal/vexec all route their boolean connectives, comparisons, LIKE,
-// IN and BETWEEN through the truth tables defined here, so the engines
-// cannot drift apart on NULL handling.
+// Package sqlsem is the single definition of SQL value semantics, shared
+// by every execution paradigm: the row and column interpreters of
+// internal/engine and the batch-vectorized and compiled executor of
+// internal/vexec all compute with the one runtime value type declared here
+// (Value, Kind and the constructors), its scalar algebra (Compare, Equal,
+// the AppendKey hash-key encoding, Arithmetic, Negate, the date helpers,
+// Like, and the per-row bodies of CAST, EXTRACT, SUBSTRING and the scalar
+// functions) and the three-valued (ternary) logic below, so the engines
+// cannot drift apart on NULL handling, numeric promotion or key equality.
 //
-// The contract, in one paragraph: inside an expression NULL means UNKNOWN
-// and propagates through comparisons, LIKE, NOT, AND, OR, BETWEEN and IN
-// exactly as the SQL standard prescribes (NOT UNKNOWN = UNKNOWN,
+// The ternary contract, in one paragraph: inside an expression NULL means
+// UNKNOWN and propagates through comparisons, LIKE, NOT, AND, OR, BETWEEN
+// and IN exactly as the SQL standard prescribes (NOT UNKNOWN = UNKNOWN,
 // UNKNOWN AND FALSE = FALSE, UNKNOWN OR TRUE = TRUE, everything else
-// involving UNKNOWN stays UNKNOWN). Only the *consumers* of a predicate —
+// involving UNKNOWN stays UNKNOWN). Lift and Lower move between values and
+// truth values (NULL is UNKNOWN). Only the *consumers* of a predicate —
 // WHERE/HAVING filters, join conditions and CASE WHEN arms — collapse
 // UNKNOWN to "row rejected" / "arm not taken"; that collapse happens at the
 // filter, never inside the expression, so a projected predicate surfaces as
@@ -99,7 +103,7 @@ func Or(a, b Tri) Tri {
 	return False
 }
 
-// Compare maps a comparison operator and a three-way comparison outcome
+// CompareOp maps a comparison operator and a three-way comparison outcome
 // (c < 0, c == 0, c > 0 as from a compare function that only ran because
 // both operands were non-NULL) to a truth value. Callers must route NULL
 // operands to Unknown instead of calling this; CompareNullable does both.
@@ -107,7 +111,7 @@ func Or(a, b Tri) Tri {
 // panics — as the single source of truth, silently returning FALSE here
 // would make every engine uniformly wrong, which the differential fuzzer
 // (agreement-based) could never detect.
-func Compare(op string, c int) Tri {
+func CompareOp(op string, c int) Tri {
 	var ok bool
 	switch op {
 	case "=":
@@ -135,13 +139,13 @@ func CompareNullable(op string, eitherNull bool, c int) Tri {
 	if eitherNull {
 		return Unknown
 	}
-	return Compare(op, c)
+	return CompareOp(op, c)
 }
 
-// Like is the LIKE / NOT LIKE semantics: a NULL string or NULL pattern
+// LikeTri is the LIKE / NOT LIKE semantics: a NULL string or NULL pattern
 // yields UNKNOWN (and NOT UNKNOWN stays UNKNOWN); otherwise the match
 // result, negated for NOT LIKE.
-func Like(eitherNull, matched, negate bool) Tri {
+func LikeTri(eitherNull, matched, negate bool) Tri {
 	if eitherNull {
 		return Unknown
 	}

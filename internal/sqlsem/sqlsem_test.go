@@ -74,19 +74,19 @@ func TestCompareNullable(t *testing.T) {
 }
 
 func TestLike(t *testing.T) {
-	if got := Like(true, false, false); got != Unknown {
+	if got := LikeTri(true, false, false); got != Unknown {
 		t.Errorf("NULL LIKE p = %s, want UNKNOWN", got)
 	}
-	if got := Like(true, false, true); got != Unknown {
+	if got := LikeTri(true, false, true); got != Unknown {
 		t.Errorf("NULL NOT LIKE p = %s, want UNKNOWN", got)
 	}
-	if got := Like(false, true, false); got != True {
+	if got := LikeTri(false, true, false); got != True {
 		t.Errorf("match LIKE = %s, want TRUE", got)
 	}
-	if got := Like(false, true, true); got != False {
+	if got := LikeTri(false, true, true); got != False {
 		t.Errorf("match NOT LIKE = %s, want FALSE", got)
 	}
-	if got := Like(false, false, true); got != True {
+	if got := LikeTri(false, false, true); got != True {
 		t.Errorf("no-match NOT LIKE = %s, want TRUE", got)
 	}
 }

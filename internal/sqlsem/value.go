@@ -1,32 +1,4 @@
-// Package engine implements the in-memory SQL execution substrate sqalpel
-// runs experiments against. It provides a relational storage layer
-// (Database/Table with column-major storage), a query executor covering the
-// SQL dialect of internal/sqlparser (joins, sub-queries, grouping,
-// aggregation, ordering), and four execution back-ends with genuinely
-// different performance profiles:
-//
-//   - RowEngine: a tuple-at-a-time interpreter that carries full rows,
-//     evaluates predicates with short-circuiting and avoids intermediate
-//     materialisation — the classic row store profile.
-//   - ColEngine: a column-at-a-time engine that prunes unused columns,
-//     filters with one pass per conjunct, and materialises every arithmetic
-//     intermediate as a full vector with an overflow-guarding widening pass —
-//     the profile of MonetDB-style systems the paper reports on.
-//   - VektorEngine: a batch-vectorized engine (see internal/vexec) working
-//     on typed unboxed vectors with selection vectors and fixed-size batch
-//     pipelines — the VectorWise-style profile; statements outside its
-//     subset fall back to the column interpreter.
-//   - FusilEngine: a data-centric compiled engine (internal/vexec with
-//     Options.Fused) that compiles each scan's pushed-down predicates into
-//     Go closures and runs them row by row in one loop fused onto the scan
-//     — the HyPer-style profile at the scans; its pipeline breakers are the
-//     vectorized engine's, and it covers the same subset with the same
-//     fallback.
-//
-// The engines stand in for the external DBMSs the paper drives over JDBC:
-// discriminative benchmarking needs systems that accept the same dialect
-// but disagree on performance, which is exactly what they provide.
-package engine
+package sqlsem
 
 import (
 	"fmt"
@@ -67,7 +39,9 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a runtime SQL value. Dates are stored as days since 1970-01-01.
+// Value is a runtime SQL value. Only the payload field matching Kind is
+// meaningful: I for bools (0/1), ints and dates (days since 1970-01-01),
+// F for floats, S for strings.
 type Value struct {
 	Kind Kind
 	I    int64
@@ -102,7 +76,8 @@ func NewDate(days int64) Value { return Value{Kind: KindDate, I: days} }
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
 
-// Bool returns the truth value; NULL and non-boolean values are false.
+// Bool returns the two-valued truth: NULL and non-numeric values are
+// false. Inside an expression use Lift instead so UNKNOWN propagates.
 func (v Value) Bool() bool {
 	switch v.Kind {
 	case KindBool, KindInt, KindDate:
@@ -167,13 +142,68 @@ func (v Value) String() string {
 	}
 }
 
+// ParseNumber parses a numeric literal: integers stay exact, everything
+// else becomes a float. The float syntax is strict — the whole literal must
+// parse — and a malformed literal is an error the caller decides about.
+func ParseNumber(s string) (Value, error) {
+	if !strings.ContainsAny(s, ".eE") {
+		var n int64
+		neg := false
+		for i := 0; i < len(s); i++ {
+			c := s[i]
+			if i == 0 && (c == '-' || c == '+') {
+				neg = c == '-'
+				continue
+			}
+			if c < '0' || c > '9' {
+				return parseFloat(s)
+			}
+			n = n*10 + int64(c-'0')
+		}
+		if neg {
+			n = -n
+		}
+		return NewInt(n), nil
+	}
+	return parseFloat(s)
+}
+
+func parseFloat(s string) (Value, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return Value{}, err
+	}
+	return NewFloat(f), nil
+}
+
 // isNumeric reports whether the value participates in numeric arithmetic.
 func (v Value) isNumeric() bool {
 	return v.Kind == KindInt || v.Kind == KindFloat || v.Kind == KindBool
 }
 
-// Compare returns -1, 0 or 1 comparing a and b with SQL semantics; NULL
-// compares less than everything (only relevant for ordering).
+// Lift lifts a value into the ternary domain: NULL is UNKNOWN, everything
+// else its two-valued truth.
+func Lift(v Value) Tri {
+	if v.IsNull() {
+		return Unknown
+	}
+	return Of(v.Bool())
+}
+
+// Lower lowers a ternary truth value into the value domain: UNKNOWN
+// becomes NULL. Predicate consumers collapse that NULL with Bool (or
+// Lift(v).Accept()); a predicate in projection position surfaces it.
+func Lower(t Tri) Value {
+	if !t.Known() {
+		return Null()
+	}
+	return NewBool(t == True)
+}
+
+// Compare returns -1, 0 or 1 comparing a and b with SQL ordering
+// semantics: NULL sorts below everything, strings compare
+// lexicographically only against strings, everything else (dates
+// included) compares in the float64 domain.
 func Compare(a, b Value) int {
 	if a.IsNull() || b.IsNull() {
 		switch {
@@ -185,12 +215,9 @@ func Compare(a, b Value) int {
 			return 1
 		}
 	}
-	// String comparison only when both sides are strings.
 	if a.Kind == KindString && b.Kind == KindString {
 		return strings.Compare(a.S, b.S)
 	}
-	// Dates compare by their day number; mixed date/number comparisons use
-	// the numeric path.
 	af, bf := a.Float(), b.Float()
 	switch {
 	case af < bf:
@@ -210,35 +237,53 @@ func Equal(a, b Value) bool {
 	return Compare(a, b) == 0
 }
 
-// Key returns a string usable as a hash key for grouping and hash joins.
-// Unlike String it keeps the kind separate so 1 and '1' do not collide, but
-// normalises int/float so join keys of mixed numeric types match.
-func (v Value) Key() string {
+// CompareValues applies a comparison operator to two values: UNKNOWN when
+// either is NULL, otherwise CompareOp over Compare(a, b).
+func CompareValues(op string, a, b Value) Tri {
+	return CompareNullable(op, a.IsNull() || b.IsNull(), Compare(a, b))
+}
+
+// Key-class prefix bytes of AppendKey: kinds must never collide. NULL
+// encodes as 0x00 'N'.
+const (
+	KeyString byte = 0x01
+	KeyDate   byte = 0x02
+	KeyNumber byte = 0x03
+)
+
+// AppendKey appends the hash-key encoding of v, used for grouping, joins,
+// DISTINCT, set operations and IN sets. Unlike String it keeps the kind
+// class separate so 1 and '1' do not collide, but normalises int-valued
+// floats to their integer digits so mixed numeric keys match. NULL has a
+// key of its own, so NULL groups with NULL.
+func AppendKey(buf []byte, v Value) []byte {
 	switch v.Kind {
 	case KindNull:
-		return "\x00N"
+		return append(buf, 0x00, 'N')
 	case KindString:
-		return "\x01" + v.S
+		return append(append(buf, KeyString), v.S...)
 	case KindDate:
-		return "\x02" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(buf, KeyDate), v.I, 10)
 	case KindFloat:
+		buf = append(buf, KeyNumber)
 		if v.F == float64(int64(v.F)) {
-			return "\x03" + strconv.FormatInt(int64(v.F), 10)
+			return strconv.AppendInt(buf, int64(v.F), 10)
 		}
-		return "\x03" + strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.AppendFloat(buf, v.F, 'g', -1, 64)
 	default:
-		return "\x03" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(buf, KeyNumber), v.I, 10)
 	}
 }
 
-// Arithmetic performs +, -, *, / and % with numeric promotion. Date plus or
-// minus an integer treats the integer as a number of days. Any NULL operand
-// yields NULL; division by zero yields NULL.
+// Arithmetic performs +, -, *, /, % and || with numeric promotion. Date
+// plus or minus a number treats the number as days; date minus date is a
+// day count. Integer operands stay exact, including division when it
+// divides evenly. Any NULL operand yields NULL; division by zero yields
+// NULL.
 func Arithmetic(op string, a, b Value) (Value, error) {
 	if a.IsNull() || b.IsNull() {
 		return Null(), nil
 	}
-	// Date arithmetic with day counts.
 	if a.Kind == KindDate && b.isNumeric() {
 		switch op {
 		case "+":
@@ -259,8 +304,6 @@ func Arithmetic(op string, a, b Value) (Value, error) {
 	if op == "||" {
 		return NewString(a.String() + b.String()), nil
 	}
-	// Integer-preserving arithmetic when both sides are integers and the
-	// operation stays exact.
 	if a.Kind == KindInt && b.Kind == KindInt {
 		switch op {
 		case "+":
@@ -307,6 +350,19 @@ func Arithmetic(op string, a, b Value) (Value, error) {
 	}
 }
 
+// Negate is unary minus: NULL stays NULL, integers stay exact, everything
+// else negates in the float64 domain.
+func Negate(v Value) Value {
+	switch v.Kind {
+	case KindNull:
+		return v
+	case KindInt:
+		return NewInt(-v.I)
+	default:
+		return NewFloat(-v.Float())
+	}
+}
+
 // epoch is the reference day zero for date values.
 var epoch = time.Date(1970, 1, 1, 0, 0, 0, 0, time.UTC)
 
@@ -341,10 +397,16 @@ func DateParts(days int64) (year, month, day int) {
 	return t.Year(), int(t.Month()), t.Day()
 }
 
-// AddInterval adds n units (DAY, MONTH or YEAR) to a date given in days
-// since the epoch.
-func AddInterval(days int64, n int64, unit string) (int64, error) {
-	t := epoch.AddDate(0, 0, int(days))
+// AddInterval is date ± INTERVAL: it adds n units (DAY, MONTH or YEAR) to
+// a date value. NULL stays NULL; any other non-date operand errors.
+func AddInterval(v Value, n int64, unit string) (Value, error) {
+	switch {
+	case v.IsNull():
+		return v, nil
+	case v.Kind != KindDate:
+		return Value{}, fmt.Errorf("interval arithmetic requires a date, got %s", v.Kind)
+	}
+	t := epoch.AddDate(0, 0, int(v.I))
 	switch strings.ToUpper(unit) {
 	case "DAY":
 		t = t.AddDate(0, 0, int(n))
@@ -353,21 +415,17 @@ func AddInterval(days int64, n int64, unit string) (int64, error) {
 	case "YEAR":
 		t = t.AddDate(int(n), 0, 0)
 	default:
-		return 0, fmt.Errorf("unknown interval unit %q", unit)
+		return Value{}, fmt.Errorf("unknown interval unit %q", unit)
 	}
-	return int64(t.Sub(epoch).Hours() / 24), nil
+	return NewDate(int64(t.Sub(epoch).Hours() / 24)), nil
 }
 
-// Like implements the SQL LIKE operator with % and _ wildcards.
-func Like(s, pattern string) bool {
-	return likeMatch(s, pattern)
-}
-
-func likeMatch(s, p string) bool {
-	// Dynamic-programming free recursive matcher with memo-free greedy
-	// handling of '%': standard two-pointer algorithm.
+// Like reports whether s matches the SQL LIKE pattern p, with % matching
+// any run of characters and _ exactly one (greedy two-pointer matcher).
+// LikeValues wraps it in the ternary NULL handling.
+func Like(s, p string) bool {
 	var si, pi int
-	var starP, starS = -1, 0
+	starP, starS := -1, 0
 	for si < len(s) {
 		switch {
 		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
@@ -389,4 +447,11 @@ func likeMatch(s, p string) bool {
 		pi++
 	}
 	return pi == len(p)
+}
+
+// LikeValues is v LIKE pattern, or NOT LIKE when negate, over values:
+// UNKNOWN when either is NULL, otherwise Like over their renderings.
+func LikeValues(v, pattern Value, negate bool) Tri {
+	eitherNull := v.IsNull() || pattern.IsNull()
+	return LikeTri(eitherNull, !eitherNull && Like(v.String(), pattern.String()), negate)
 }

@@ -6,10 +6,14 @@
 // Its distinguishing mechanics:
 //
 //   - Typed, unboxed columnar vectors ([]int64, []float64, []string) with
-//     separate null bitmaps instead of boxed []Value cells. Numeric vectors
-//     may carry a per-row int/float duality mask so the SQL value semantics
-//     of internal/engine (exact integer arithmetic, int-preserving division)
-//     are reproduced bit for bit.
+//     separate null bitmaps instead of boxed sqlsem.Value cells. Numeric
+//     vectors may carry a per-row int/float duality mask so the SQL value
+//     semantics (exact integer arithmetic, int-preserving division) hold
+//     bit for bit. Everything boxed — group accumulators, sort keys, the
+//     fused closures' values, results — is a sqlsem.Value, and the scalar
+//     algebra (comparison, hash keys, arithmetic, dates, LIKE, CAST,
+//     EXTRACT, SUBSTRING, functions) is sqlsem's, defined once for every
+//     engine; vexec adds only the typed vector kernels over it.
 //   - Selection vectors: filters shrink an index list over a batch instead
 //     of copying payload columns; one pass per conjunct, like a column store,
 //     but over fixed-size batches.
@@ -32,9 +36,9 @@
 //     pool, with every merge walking morsel order — results are
 //     bit-identical at any worker count, float summation order included.
 //
-// The package depends only on internal/sqlparser and the shared logical
-// plan of internal/plan: ExecutePlan compiles its pipeline straight from a
-// pre-built plan's classified conjuncts and join steps (Execute plans on
+// The package depends only on internal/sqlparser, internal/sqlsem and the
+// shared logical plan of internal/plan: ExecutePlan compiles its pipeline
+// straight from a pre-built plan's classified conjuncts and join steps (Execute plans on
 // the fly for standalone use). It executes the dialect subset that
 // vectorizes well (conjunctive filters, equi hash joins, hash aggregation,
 // ordering, DISTINCT, LIMIT and the full scalar expression repertoire);
@@ -42,6 +46,7 @@
 // operations carry a negative Vectorizable verdict on their plan and
 // return ErrUnsupported, which the engine-level adapter (internal/engine's
 // vektor family) turns into interpreter execution of the same plan. The
-// conversion from the boxed []Value storage of engine.Database into typed
-// vectors happens once per table data version in that adapter, not here.
+// conversion from the boxed []sqlsem.Value storage of engine.Database into
+// typed vectors (through Builder) happens once per table data version in
+// that adapter, not here.
 package vexec

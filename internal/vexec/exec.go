@@ -9,6 +9,7 @@ import (
 
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/trace"
 )
 
@@ -47,15 +48,25 @@ type Options struct {
 	Tracer *trace.Tracer
 }
 
-// Stats are the execution counters of one run.
+// Stats are the execution counters of one run, shared by every engine:
+// the interpreters of internal/engine report them too, and the platform
+// receives them as the Map key/value list. Counters an engine has no use
+// for stay zero.
 type Stats struct {
-	RowsScanned  int64
-	Batches      int64
-	FilterPasses int64
-	HashJoins    int64
-	LoopJoins    int64
-	Groups       int64
-	RowsReturned int64
+	RowsScanned int64
+	// TuplesMaterialized, IntermediatesMaterialized and GuardCasts are the
+	// interpreters' materialization counters: tuples copied out of base
+	// tables (row mode), intermediate values materialized (column mode)
+	// and overflow-guard widenings.
+	TuplesMaterialized        int64
+	IntermediatesMaterialized int64
+	GuardCasts                int64
+	Batches                   int64
+	FilterPasses              int64
+	HashJoins                 int64
+	LoopJoins                 int64
+	Groups                    int64
+	RowsReturned              int64
 	// JoinBuildRows/JoinProbeRows count the non-NULL-key rows inserted into
 	// and probed against hash-join tables; identical at every worker count
 	// (NULL-key rows are skipped on both paths).
@@ -73,6 +84,46 @@ type Stats struct {
 	// every worker count: the decision depends only on per-block statistics
 	// and the plan.
 	BlocksSkipped int64
+}
+
+// Add accumulates other into s.
+func (s *Stats) Add(other Stats) {
+	s.RowsScanned += other.RowsScanned
+	s.TuplesMaterialized += other.TuplesMaterialized
+	s.IntermediatesMaterialized += other.IntermediatesMaterialized
+	s.GuardCasts += other.GuardCasts
+	s.Batches += other.Batches
+	s.FilterPasses += other.FilterPasses
+	s.HashJoins += other.HashJoins
+	s.LoopJoins += other.LoopJoins
+	s.Groups += other.Groups
+	s.RowsReturned += other.RowsReturned
+	s.JoinBuildRows += other.JoinBuildRows
+	s.JoinProbeRows += other.JoinProbeRows
+	s.AggRows += other.AggRows
+	s.SubqueryExecutions += other.SubqueryExecutions
+	s.BlocksSkipped += other.BlocksSkipped
+}
+
+// Map renders the stats as the key/value list reported to the platform.
+func (s Stats) Map() map[string]int64 {
+	return map[string]int64{
+		"rows_scanned":               s.RowsScanned,
+		"tuples_materialized":        s.TuplesMaterialized,
+		"intermediates_materialized": s.IntermediatesMaterialized,
+		"guard_casts":                s.GuardCasts,
+		"batches":                    s.Batches,
+		"filter_passes":              s.FilterPasses,
+		"hash_joins":                 s.HashJoins,
+		"loop_joins":                 s.LoopJoins,
+		"groups":                     s.Groups,
+		"rows_returned":              s.RowsReturned,
+		"join_build_rows":            s.JoinBuildRows,
+		"join_probe_rows":            s.JoinProbeRows,
+		"agg_rows":                   s.AggRows,
+		"subquery_executions":        s.SubqueryExecutions,
+		"blocks_skipped":             s.BlocksSkipped,
+	}
 }
 
 // Result is a finished query: named, typed output columns.
@@ -633,7 +684,7 @@ func (ex *executor) orderKeyVectors(stmt *sqlparser.SelectStatement, items []pro
 		}
 		if num, ok := ob.Expr.(*sqlparser.NumberLit); ok {
 			if ns, err := parseNumberScalar(num.Value); err == nil {
-				if idx := int(ns.intVal()) - 1; idx >= 0 && idx < len(cols) {
+				if idx := int(ns.Int()) - 1; idx >= 0 && idx < len(cols) {
 					keys[oi] = cols[idx]
 					continue
 				}
@@ -685,7 +736,7 @@ func (ex *executor) epilogue(stmt *sqlparser.SelectStatement, names []string, co
 		}
 		// The multi-key comparator is compiled once per query: one
 		// kind-specialized closure per sort key instead of boxing two
-		// scalars per comparison.
+		// values per comparison.
 		cmps := make([]func(a, b int) int, len(stmt.OrderBy))
 		descs := make([]bool, len(stmt.OrderBy))
 		for i := range stmt.OrderBy {
@@ -760,17 +811,17 @@ func gatherAll(cols []*Vector, rows []int) []*Vector {
 }
 
 // compiledCmp builds the comparison closure of one sort key vector,
-// specialized to its kind. Every branch reproduces compareScalars over the
+// specialized to its kind. Every branch reproduces sqlsem.Compare over the
 // boxed At values exactly — including its float-domain comparison of
 // integer keys — so the compiled sort orders rows identically to the
 // scalar path (and to the interpreters).
 func compiledCmp(v *Vector) func(a, b int) int {
 	nulls := v.Nulls
 	switch v.Kind {
-	case KindNull:
+	case sqlsem.KindNull:
 		// All rows NULL: every pair ties.
 		return func(a, b int) int { return 0 }
-	case KindString:
+	case sqlsem.KindString:
 		if v.Dict != nil {
 			// The dictionary is sorted and deduplicated, so code order is
 			// exactly strings.Compare order.
@@ -796,7 +847,7 @@ func compiledCmp(v *Vector) func(a, b int) int {
 			}
 			return strings.Compare(strs[a], strs[b])
 		}
-	case KindFloat:
+	case sqlsem.KindFloat:
 		// Under the int/float duality mask a flagged row's float payload
 		// is the exact float64 image of its integer, which is what the
 		// scalar path compares too.
@@ -808,7 +859,7 @@ func compiledCmp(v *Vector) func(a, b int) int {
 			return cmpFloat(fl[a], fl[b])
 		}
 	default: // KindInt, KindDate, KindBool
-		// compareScalars compares numeric scalars in the float64 domain;
+		// sqlsem.Compare compares numeric values in the float64 domain;
 		// keep exactly that (not int64 order) so ties beyond 2^53 break
 		// identically.
 		ints := v.Ints

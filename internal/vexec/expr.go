@@ -3,7 +3,6 @@ package vexec
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"sqalpel/internal/plan"
@@ -57,21 +56,17 @@ func (ctx *evalCtx) eval(e sqlparser.Expr) (*Vector, error) {
 		}
 		return constVec(s, n), nil
 	case *sqlparser.StringLit:
-		return constVec(scalar{kind: KindString, s: v.Value}, n), nil
+		return constVec(sqlsem.NewString(v.Value), n), nil
 	case *sqlparser.BoolLit:
-		b := int64(0)
-		if v.Value {
-			b = 1
-		}
-		return constVec(scalar{kind: KindBool, i: b}, n), nil
+		return constVec(sqlsem.NewBool(v.Value), n), nil
 	case *sqlparser.NullLit:
 		return NewNullVector(n), nil
 	case *sqlparser.DateLit:
-		d, err := parseDate(v.Value)
+		d, err := sqlsem.ParseDate(v.Value)
 		if err != nil {
-			return nil, errEval(e, fmt.Errorf("invalid date %q: %w", v.Value, err))
+			return nil, errEval(e, err)
 		}
-		return constVec(scalar{kind: KindDate, i: d}, n), nil
+		return constVec(sqlsem.NewDate(d), n), nil
 	case *sqlparser.IntervalLit:
 		// Bare intervals evaluate to their numeric count; date arithmetic
 		// with a unit is handled in the BinaryExpr case.
@@ -101,7 +96,7 @@ func (ctx *evalCtx) eval(e sqlparser.Expr) (*Vector, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := NewVector(KindBool, n)
+		out := NewVector(sqlsem.KindBool, n)
 		for i := 0; i < n; i++ {
 			if val.IsNull(i) != v.Not {
 				out.Ints[i] = 1
@@ -140,69 +135,39 @@ func (ctx *evalCtx) resolveColumn(v *sqlparser.ColumnRef) (*Vector, error) {
 
 // constVec fills a vector with one scalar and marks it as a broadcast
 // constant, which is what arms the dictionary fast paths downstream.
-func constVec(s scalar, n int) *Vector {
-	if s.kind == KindNull {
+func constVec(s sqlsem.Value, n int) *Vector {
+	if s.Kind == sqlsem.KindNull {
 		return NewNullVector(n)
 	}
-	out := NewVector(s.kind, n)
+	out := NewVector(s.Kind, n)
 	out.constVal = true
-	switch s.kind {
-	case KindInt, KindDate, KindBool:
+	switch s.Kind {
+	case sqlsem.KindInt, sqlsem.KindDate, sqlsem.KindBool:
 		for i := range out.Ints {
-			out.Ints[i] = s.i
+			out.Ints[i] = s.I
 		}
-	case KindFloat:
+	case sqlsem.KindFloat:
 		for i := range out.Floats {
-			out.Floats[i] = s.f
+			out.Floats[i] = s.F
 		}
-	case KindString:
+	case sqlsem.KindString:
 		for i := range out.Strs {
-			out.Strs[i] = s.s
+			out.Strs[i] = s.S
 		}
 	}
 	return out
 }
 
-// parseNumberScalar mirrors the interpreter's numeric literal parsing:
-// integers stay exact, everything else becomes a float. Literals vexec
-// cannot parse cleanly are NOT silently coerced (the interpreter's atof
-// collapses garbage to 0); they defer the statement to the interpreter via
+// parseNumberScalar parses a numeric literal with sqlsem.ParseNumber.
+// Literals it cannot parse are NOT coerced the way the interpreter's
+// lenient fallback does; they defer the statement to the interpreter via
 // ErrUnsupported so the engines cannot disagree on such input.
-func parseNumberScalar(s string) (scalar, error) {
-	if !strings.ContainsAny(s, ".eE") {
-		var n int64
-		neg := false
-		for i := 0; i < len(s); i++ {
-			c := s[i]
-			if i == 0 && (c == '-' || c == '+') {
-				neg = c == '-'
-				continue
-			}
-			if c < '0' || c > '9' {
-				f, err := atof(s)
-				return scalar{kind: KindFloat, f: f}, err
-			}
-			n = n*10 + int64(c-'0')
-		}
-		if neg {
-			n = -n
-		}
-		return scalar{kind: KindInt, i: n}, nil
-	}
-	f, err := atof(s)
-	return scalar{kind: KindFloat, f: f}, err
-}
-
-// atof parses a float literal strictly (the whole string must parse, no
-// trailing garbage). Unlike the interpreter's variant it reports failure
-// instead of silently coercing: the caller defers the statement back to
-// the interpreter, which owns the semantics of malformed numerics.
-func atof(s string) (float64, error) {
-	f, err := strconv.ParseFloat(s, 64)
+func parseNumberScalar(s string) (sqlsem.Value, error) {
+	v, err := sqlsem.ParseNumber(s)
 	if err != nil {
-		return 0, fmt.Errorf("%w: unparsable numeric literal %q", ErrUnsupported, s)
+		return v, fmt.Errorf("%w: unparsable numeric literal %q", ErrUnsupported, s)
 	}
-	return f, nil
+	return v, nil
 }
 
 // truthy is the two-valued truth of row i: NULL is false. It implements
@@ -214,9 +179,9 @@ func truthy(v *Vector, i int) bool {
 		return false
 	}
 	switch v.Kind {
-	case KindBool, KindInt, KindDate:
+	case sqlsem.KindBool, sqlsem.KindInt, sqlsem.KindDate:
 		return v.Ints[i] != 0
-	case KindFloat:
+	case sqlsem.KindFloat:
 		return v.Floats[i] != 0
 	default:
 		return false
@@ -251,42 +216,34 @@ func (ctx *evalCtx) evalUnary(v *sqlparser.UnaryExpr) (*Vector, error) {
 	n := val.Len()
 	switch v.Op {
 	case "NOT":
-		out := NewVector(KindBool, n)
+		out := NewVector(sqlsem.KindBool, n)
 		for i := 0; i < n; i++ {
 			setTri(out, i, sqlsem.Not(triAt(val, i)))
 		}
 		return out, nil
 	case "-":
 		// Fast paths for homogeneous numeric vectors.
-		if val.Kind == KindInt {
-			out := NewVector(KindInt, n)
+		if val.Kind == sqlsem.KindInt {
+			out := NewVector(sqlsem.KindInt, n)
 			for i := 0; i < n; i++ {
 				out.Ints[i] = -val.Ints[i]
 			}
 			out.Nulls = copyNulls(val.Nulls)
 			return out, nil
 		}
-		if val.Kind == KindFloat && val.IsInt == nil {
-			out := NewVector(KindFloat, n)
+		if val.Kind == sqlsem.KindFloat && val.IsInt == nil {
+			out := NewVector(sqlsem.KindFloat, n)
 			for i := 0; i < n; i++ {
 				out.Floats[i] = -val.Floats[i]
 			}
 			out.Nulls = copyNulls(val.Nulls)
 			return out, nil
 		}
-		bld := newBuilder(n)
+		bld := NewBuilder(n)
 		for i := 0; i < n; i++ {
-			s := val.At(i)
-			switch s.kind {
-			case KindNull:
-				bld.append(nullScalar)
-			case KindInt:
-				bld.append(scalar{kind: KindInt, i: -s.i})
-			default:
-				bld.append(scalar{kind: KindFloat, f: -s.floatVal()})
-			}
+			bld.Append(sqlsem.Negate(val.At(i)))
 		}
-		return bld.finalize()
+		return bld.Finalize()
 	case "+":
 		return val, nil
 	default:
@@ -315,7 +272,7 @@ func (ctx *evalCtx) evalBinary(v *sqlparser.BinaryExpr) (*Vector, error) {
 			return nil, deferToFallback(err)
 		}
 		n := l.Len()
-		out := NewVector(KindBool, n)
+		out := NewVector(sqlsem.KindBool, n)
 		if v.Op == "AND" {
 			for i := 0; i < n; i++ {
 				setTri(out, i, sqlsem.And(triAt(l, i), triAt(r, i)))
@@ -338,26 +295,22 @@ func (ctx *evalCtx) evalBinary(v *sqlparser.BinaryExpr) (*Vector, error) {
 		if err != nil {
 			return nil, err
 		}
-		nv := ns.intVal()
+		nv := ns.Int()
 		if v.Op == "-" {
 			nv = -nv
 		}
 		n := l.Len()
-		out := NewVector(KindDate, n)
+		out := NewVector(sqlsem.KindDate, n)
 		for i := 0; i < n; i++ {
-			s := l.At(i)
-			if s.isNull() {
+			d, err := sqlsem.AddInterval(l.At(i), nv, iv.Unit)
+			switch {
+			case err != nil:
+				return nil, err
+			case d.IsNull():
 				out.SetNull(i)
-				continue
+			default:
+				out.Ints[i] = d.I
 			}
-			if s.kind != KindDate {
-				return nil, fmt.Errorf("interval arithmetic requires a date, got %s", s.kind)
-			}
-			d, ok := addInterval(s.i, nv, iv.Unit)
-			if !ok {
-				return nil, fmt.Errorf("unknown interval unit %q", iv.Unit)
-			}
-			out.Ints[i] = d
 		}
 		return out, nil
 	}
@@ -386,89 +339,16 @@ func (ctx *evalCtx) evalBinary(v *sqlparser.BinaryExpr) (*Vector, error) {
 	}
 }
 
-// arithScalar mirrors engine.Arithmetic exactly: numeric promotion, date
-// day-count arithmetic, integer-preserving division, NULL on division by
-// zero.
-func arithScalar(op string, a, b scalar) (scalar, error) {
-	if a.isNull() || b.isNull() {
-		return nullScalar, nil
-	}
-	if a.kind == KindDate && b.isNumeric() {
-		switch op {
-		case "+":
-			return scalar{kind: KindDate, i: a.i + b.intVal()}, nil
-		case "-":
-			return scalar{kind: KindDate, i: a.i - b.intVal()}, nil
-		}
-	}
-	if a.kind == KindDate && b.kind == KindDate && op == "-" {
-		return scalar{kind: KindInt, i: a.i - b.i}, nil
-	}
-	if a.kind == KindString || b.kind == KindString {
-		if op == "||" {
-			return scalar{kind: KindString, s: a.render() + b.render()}, nil
-		}
-		return scalar{}, fmt.Errorf("cannot apply %q to %s and %s", op, a.kind, b.kind)
-	}
-	if op == "||" {
-		return scalar{kind: KindString, s: a.render() + b.render()}, nil
-	}
-	if a.kind == KindInt && b.kind == KindInt {
-		switch op {
-		case "+":
-			return scalar{kind: KindInt, i: a.i + b.i}, nil
-		case "-":
-			return scalar{kind: KindInt, i: a.i - b.i}, nil
-		case "*":
-			return scalar{kind: KindInt, i: a.i * b.i}, nil
-		case "%":
-			if b.i == 0 {
-				return nullScalar, nil
-			}
-			return scalar{kind: KindInt, i: a.i % b.i}, nil
-		case "/":
-			if b.i == 0 {
-				return nullScalar, nil
-			}
-			if a.i%b.i == 0 {
-				return scalar{kind: KindInt, i: a.i / b.i}, nil
-			}
-			return scalar{kind: KindFloat, f: float64(a.i) / float64(b.i)}, nil
-		}
-	}
-	af, bf := a.floatVal(), b.floatVal()
-	switch op {
-	case "+":
-		return scalar{kind: KindFloat, f: af + bf}, nil
-	case "-":
-		return scalar{kind: KindFloat, f: af - bf}, nil
-	case "*":
-		return scalar{kind: KindFloat, f: af * bf}, nil
-	case "/":
-		if bf == 0 {
-			return nullScalar, nil
-		}
-		return scalar{kind: KindFloat, f: af / bf}, nil
-	case "%":
-		if bf == 0 {
-			return nullScalar, nil
-		}
-		return scalar{kind: KindFloat, f: float64(int64(af) % int64(bf))}, nil
-	default:
-		return scalar{}, fmt.Errorf("unknown arithmetic operator %q", op)
-	}
-}
-
 // arithVec applies an arithmetic operator element-wise with typed fast
 // paths for the hot shapes (pure int and pure float vectors) and a generic
 // scalar loop for everything else.
 func arithVec(op string, l, r *Vector) (*Vector, error) {
 	n := l.Len()
-	pureFloat := func(v *Vector) bool { return v.Kind == KindFloat && v.IsInt == nil }
+	pureFloat := func(v *Vector) bool { return v.Kind == sqlsem.KindFloat && v.IsInt == nil }
 
 	// int op int for the exact operators.
-	if l.Kind == KindInt && r.Kind == KindInt && (op == "+" || op == "-" || op == "*") {
-		out := NewVector(KindInt, n)
+	if l.Kind == sqlsem.KindInt && r.Kind == sqlsem.KindInt && (op == "+" || op == "-" || op == "*") {
+		out := NewVector(sqlsem.KindInt, n)
 		for i := 0; i < n; i++ {
 			if l.IsNull(i) || r.IsNull(i) {
 				out.SetNull(i)
@@ -487,17 +367,17 @@ func arithVec(op string, l, r *Vector) (*Vector, error) {
 	}
 
 	// Mixes of pure int and pure float vectors for + - *.
-	numericPure := func(v *Vector) bool { return v.Kind == KindInt || pureFloat(v) }
+	numericPure := func(v *Vector) bool { return v.Kind == sqlsem.KindInt || pureFloat(v) }
 	if numericPure(l) && numericPure(r) && (pureFloat(l) || pureFloat(r)) && (op == "+" || op == "-" || op == "*") {
-		out := NewVector(KindFloat, n)
+		out := NewVector(sqlsem.KindFloat, n)
 		lf := func(i int) float64 {
-			if l.Kind == KindInt {
+			if l.Kind == sqlsem.KindInt {
 				return float64(l.Ints[i])
 			}
 			return l.Floats[i]
 		}
 		rf := func(i int) float64 {
-			if r.Kind == KindInt {
+			if r.Kind == sqlsem.KindInt {
 				return float64(r.Ints[i])
 			}
 			return r.Floats[i]
@@ -521,15 +401,15 @@ func arithVec(op string, l, r *Vector) (*Vector, error) {
 
 	// Generic scalar path covering division, modulo, concatenation, dates,
 	// bools and the int/float duality masks.
-	bld := newBuilder(n)
+	bld := NewBuilder(n)
 	for i := 0; i < n; i++ {
-		s, err := arithScalar(op, l.At(i), r.At(i))
+		s, err := sqlsem.Arithmetic(op, l.At(i), r.At(i))
 		if err != nil {
 			return nil, err
 		}
-		bld.append(s)
+		bld.Append(s)
 	}
-	return bld.finalize()
+	return bld.Finalize()
 }
 
 // cmpVec applies a comparison operator with ternary NULL semantics: any
@@ -538,14 +418,14 @@ func arithVec(op string, l, r *Vector) (*Vector, error) {
 // the boxing, never the null bitmap.
 func cmpVec(op string, l, r *Vector) *Vector {
 	n := l.Len()
-	out := NewVector(KindBool, n)
+	out := NewVector(sqlsem.KindBool, n)
 	set := func(i, c int) {
-		if sqlsem.Compare(op, c) == sqlsem.True {
+		if sqlsem.CompareOp(op, c) == sqlsem.True {
 			out.Ints[i] = 1
 		}
 	}
 	intKinds := func(v *Vector) bool {
-		return v.Kind == KindInt || v.Kind == KindDate || v.Kind == KindBool
+		return v.Kind == sqlsem.KindInt || v.Kind == sqlsem.KindDate || v.Kind == sqlsem.KindBool
 	}
 	switch {
 	case intKinds(l) && intKinds(r):
@@ -563,7 +443,7 @@ func cmpVec(op string, l, r *Vector) *Vector {
 			}
 			set(i, c)
 		}
-	case l.Kind == KindFloat && l.IsInt == nil && r.Kind == KindFloat && r.IsInt == nil:
+	case l.Kind == sqlsem.KindFloat && l.IsInt == nil && r.Kind == sqlsem.KindFloat && r.IsInt == nil:
 		for i := 0; i < n; i++ {
 			if l.IsNull(i) || r.IsNull(i) {
 				out.SetNull(i)
@@ -578,7 +458,7 @@ func cmpVec(op string, l, r *Vector) *Vector {
 			}
 			set(i, c)
 		}
-	case l.Kind == KindString && r.Kind == KindString && l.Dict != nil && l.Dict == r.Dict:
+	case l.Kind == sqlsem.KindString && r.Kind == sqlsem.KindString && l.Dict != nil && l.Dict == r.Dict:
 		// Shared dictionary: code order is value order, so the comparison
 		// never touches the strings.
 		for i := 0; i < n; i++ {
@@ -595,7 +475,7 @@ func cmpVec(op string, l, r *Vector) *Vector {
 			}
 			set(i, c)
 		}
-	case n > 0 && l.Dict != nil && r.constVal && r.Kind == KindString:
+	case n > 0 && l.Dict != nil && r.constVal && r.Kind == sqlsem.KindString:
 		// Column-vs-literal: one binary search resolves the literal to a
 		// code (or its insertion point), then every row compares codes.
 		code, exact := l.Dict.Code(r.Strs[0])
@@ -606,7 +486,7 @@ func cmpVec(op string, l, r *Vector) *Vector {
 			}
 			set(i, dictCmp(l.Codes[i], code, exact))
 		}
-	case n > 0 && r.Dict != nil && l.constVal && l.Kind == KindString:
+	case n > 0 && r.Dict != nil && l.constVal && l.Kind == sqlsem.KindString:
 		code, exact := r.Dict.Code(l.Strs[0])
 		for i := 0; i < n; i++ {
 			if l.IsNull(i) || r.IsNull(i) {
@@ -615,7 +495,7 @@ func cmpVec(op string, l, r *Vector) *Vector {
 			}
 			set(i, -dictCmp(r.Codes[i], code, exact))
 		}
-	case l.Kind == KindString && r.Kind == KindString:
+	case l.Kind == sqlsem.KindString && r.Kind == sqlsem.KindString:
 		for i := 0; i < n; i++ {
 			if l.IsNull(i) || r.IsNull(i) {
 				out.SetNull(i)
@@ -626,11 +506,11 @@ func cmpVec(op string, l, r *Vector) *Vector {
 	default:
 		for i := 0; i < n; i++ {
 			a, b := l.At(i), r.At(i)
-			if a.isNull() || b.isNull() {
+			if a.IsNull() || b.IsNull() {
 				out.SetNull(i)
 				continue
 			}
-			set(i, compareScalars(a, b))
+			set(i, sqlsem.Compare(a, b))
 		}
 	}
 	return out
@@ -660,31 +540,25 @@ func dictCmp(c, code uint32, exact bool) int {
 // UNKNOWN).
 func likeVec(l, r *Vector, negate bool) *Vector {
 	n := l.Len()
-	out := NewVector(KindBool, n)
-	if n > 0 && l.Dict != nil && r.constVal && r.Kind == KindString && len(l.Dict.Vals) <= 4*n {
+	out := NewVector(sqlsem.KindBool, n)
+	if n > 0 && l.Dict != nil && r.constVal && r.Kind == sqlsem.KindString && len(l.Dict.Vals) <= 4*n {
 		// Low-cardinality dictionary against a constant pattern: match each
 		// distinct value once, then the scan loop is a table lookup.
 		table := make([]bool, len(l.Dict.Vals))
 		for c, s := range l.Dict.Vals {
-			table[c] = likeMatch(s, r.Strs[0])
+			table[c] = sqlsem.Like(s, r.Strs[0])
 		}
 		for i := 0; i < n; i++ {
 			if l.IsNull(i) {
-				setTri(out, i, sqlsem.Like(true, false, negate))
+				setTri(out, i, sqlsem.LikeTri(true, false, negate))
 				continue
 			}
-			setTri(out, i, sqlsem.Like(false, table[l.Codes[i]], negate))
+			setTri(out, i, sqlsem.LikeTri(false, table[l.Codes[i]], negate))
 		}
 		return out
 	}
 	for i := 0; i < n; i++ {
-		a, b := l.At(i), r.At(i)
-		eitherNull := a.isNull() || b.isNull()
-		matched := false
-		if !eitherNull {
-			matched = likeMatch(a.render(), b.render())
-		}
-		setTri(out, i, sqlsem.Like(eitherNull, matched, negate))
+		setTri(out, i, sqlsem.LikeValues(l.At(i), r.At(i), negate))
 	}
 	return out
 }
@@ -715,31 +589,31 @@ func (ctx *evalCtx) evalCase(v *sqlparser.CaseExpr) (*Vector, error) {
 			return nil, deferToFallback(err)
 		}
 	}
-	bld := newBuilder(n)
+	bld := NewBuilder(n)
 	for i := 0; i < n; i++ {
 		matched := false
 		for wi := range v.Whens {
 			var hit bool
 			if operand != nil {
-				hit = equalScalars(operand.At(i), conds[wi].At(i))
+				hit = sqlsem.Equal(operand.At(i), conds[wi].At(i))
 			} else {
 				hit = truthy(conds[wi], i)
 			}
 			if hit {
-				bld.append(thens[wi].At(i))
+				bld.Append(thens[wi].At(i))
 				matched = true
 				break
 			}
 		}
 		if !matched {
 			if elseVec != nil {
-				bld.append(elseVec.At(i))
+				bld.Append(elseVec.At(i))
 			} else {
-				bld.append(nullScalar)
+				bld.Append(sqlsem.Null())
 			}
 		}
 	}
-	return bld.finalize()
+	return bld.Finalize()
 }
 
 func (ctx *evalCtx) evalBetween(v *sqlparser.BetweenExpr) (*Vector, error) {
@@ -756,24 +630,13 @@ func (ctx *evalCtx) evalBetween(v *sqlparser.BetweenExpr) (*Vector, error) {
 		return nil, err
 	}
 	n := val.Len()
-	out := NewVector(KindBool, n)
+	out := NewVector(sqlsem.KindBool, n)
 	for i := 0; i < n; i++ {
 		a, l, h := val.At(i), lo.At(i), hi.At(i)
-		geLo := sqlsem.CompareNullable(">=", a.isNull() || l.isNull(), compareScalarsNonNull(a, l))
-		leHi := sqlsem.CompareNullable("<=", a.isNull() || h.isNull(), compareScalarsNonNull(a, h))
+		geLo, leHi := sqlsem.CompareValues(">=", a, l), sqlsem.CompareValues("<=", a, h)
 		setTri(out, i, sqlsem.Between(geLo, leHi, v.Not))
 	}
 	return out, nil
-}
-
-// compareScalarsNonNull compares two scalars when neither is NULL; with a
-// NULL operand the result is unused (CompareNullable short-circuits to
-// UNKNOWN) and zero is returned.
-func compareScalarsNonNull(a, b scalar) int {
-	if a.isNull() || b.isNull() {
-		return 0
-	}
-	return compareScalars(a, b)
 }
 
 func (ctx *evalCtx) evalIn(v *sqlparser.InExpr) (*Vector, error) {
@@ -791,7 +654,7 @@ func (ctx *evalCtx) evalIn(v *sqlparser.InExpr) (*Vector, error) {
 		}
 	}
 	n := val.Len()
-	out := NewVector(KindBool, n)
+	out := NewVector(sqlsem.KindBool, n)
 	if codes, listHasNull, ok := dictInCodes(val, items); ok {
 		// Dictionary-coded value against an all-literal string list: the
 		// list resolves to a code set once, and each row is code lookups.
@@ -817,15 +680,15 @@ func (ctx *evalCtx) evalIn(v *sqlparser.InExpr) (*Vector, error) {
 		var found, listHasNull bool
 		for _, item := range items {
 			s := item.At(i)
-			if equalScalars(a, s) {
+			if sqlsem.Equal(a, s) {
 				found = true
 				break
 			}
-			if s.isNull() {
+			if s.IsNull() {
 				listHasNull = true
 			}
 		}
-		t := sqlsem.In(a.isNull(), found, listHasNull, false)
+		t := sqlsem.In(a.IsNull(), found, listHasNull, false)
 		if v.Not {
 			t = sqlsem.Not(t)
 		}
@@ -854,9 +717,9 @@ func dictInCodes(val *Vector, items []*Vector) (codes []uint32, listHasNull, ok 
 	}
 	for _, item := range items {
 		switch {
-		case item.Kind == KindNull:
+		case item.Kind == sqlsem.KindNull:
 			listHasNull = true
-		case item.constVal && item.Kind == KindString:
+		case item.constVal && item.Kind == sqlsem.KindString:
 			if c, exact := val.Dict.Code(item.Strs[0]); exact {
 				codes = append(codes, c)
 			}
@@ -957,7 +820,7 @@ func (ctx *evalCtx) evalExists(v *sqlparser.ExistsExpr) (*Vector, error) {
 		return nil, err
 	}
 	n := ctx.batch.Len()
-	out := NewVector(KindBool, n)
+	out := NewVector(sqlsem.KindBool, n)
 	if !st.correlated {
 		if st.exists != v.Not {
 			for i := range out.Ints {
@@ -999,35 +862,35 @@ func (ctx *evalCtx) evalScalarSub(v *sqlparser.SubqueryExpr) (*Vector, error) {
 				return nil, deferToFallback(err)
 			}
 		}
-		bld := newBuilder(n)
+		bld := NewBuilder(n)
 		var buf []byte
 		for i := 0; i < n; i++ {
 			if nullKeyRow(keyVecs, i) {
-				bld.append(as.emptyVal)
+				bld.Append(as.emptyVal)
 				continue
 			}
 			buf = encodeRowKey(buf[:0], keyVecs, i)
 			if g, ok := as.groups[string(buf)]; ok {
-				bld.append(as.groupVals.At(int(g)))
+				bld.Append(as.groupVals.At(int(g)))
 			} else {
-				bld.append(as.emptyVal)
+				bld.Append(as.emptyVal)
 			}
 		}
-		return bld.finalize()
+		return bld.Finalize()
 	}
 	cand, off, err := ctx.applyCandidates(as)
 	if err != nil {
 		return nil, err
 	}
-	bld := newBuilder(n)
+	bld := NewBuilder(n)
 	for i := 0; i < n; i++ {
 		if off[i+1] > off[i] {
-			bld.append(as.projVals.At(int(cand[off[i]])))
+			bld.Append(as.projVals.At(int(cand[off[i]])))
 		} else {
-			bld.append(nullScalar)
+			bld.Append(sqlsem.Null())
 		}
 	}
-	return bld.finalize()
+	return bld.Finalize()
 }
 
 // evalInSub answers IN/NOT IN against a sub-query with the shared ternary
@@ -1044,17 +907,17 @@ func (ctx *evalCtx) evalInSub(v *sqlparser.InExpr) (*Vector, error) {
 		return nil, err
 	}
 	n := val.Len()
-	out := NewVector(KindBool, n)
+	out := NewVector(sqlsem.KindBool, n)
 	if !st.correlated {
 		var buf []byte
 		for i := 0; i < n; i++ {
 			a := val.At(i)
 			found := false
-			if !a.isNull() && len(st.set) > 0 {
-				buf = appendScalarKey(buf[:0], a)
+			if !a.IsNull() && len(st.set) > 0 {
+				buf = sqlsem.AppendKey(buf[:0], a)
 				found = st.set[string(buf)]
 			}
-			t := sqlsem.In(a.isNull(), found, st.setHasNull, st.setEmpty)
+			t := sqlsem.In(a.IsNull(), found, st.setHasNull, st.setEmpty)
 			if v.Not {
 				t = sqlsem.Not(t)
 			}
@@ -1072,16 +935,16 @@ func (ctx *evalCtx) evalInSub(v *sqlparser.InExpr) (*Vector, error) {
 		var found, hasNull bool
 		for k := off[i]; k < off[i+1]; k++ {
 			s := as.projVals.At(int(cand[k]))
-			if s.isNull() {
+			if s.IsNull() {
 				hasNull = true
 				continue
 			}
-			if equalScalars(a, s) {
+			if sqlsem.Equal(a, s) {
 				found = true
 				break
 			}
 		}
-		t := sqlsem.In(a.isNull(), found, hasNull, off[i+1] == off[i])
+		t := sqlsem.In(a.IsNull(), found, hasNull, off[i+1] == off[i])
 		if v.Not {
 			t = sqlsem.Not(t)
 		}
@@ -1096,39 +959,19 @@ func (ctx *evalCtx) evalExtract(v *sqlparser.ExtractExpr) (*Vector, error) {
 		return nil, err
 	}
 	n := val.Len()
-	out := NewVector(KindInt, n)
+	out := NewVector(sqlsem.KindInt, n)
 	for i := 0; i < n; i++ {
-		r, err := extractScalar(v, val.At(i))
+		r, err := sqlsem.Extract(v.Unit, val.At(i))
 		switch {
 		case err != nil:
-			return nil, err
-		case r.isNull():
+			return nil, errEval(v, err)
+		case r.IsNull():
 			out.SetNull(i)
 		default:
-			out.Ints[i] = r.i
+			out.Ints[i] = r.I
 		}
 	}
 	return out, nil
-}
-
-// extractScalar is EXTRACT over one value; the batch evaluator and the
-// fused closures share it.
-func extractScalar(v *sqlparser.ExtractExpr, s scalar) (scalar, error) {
-	switch {
-	case s.isNull():
-		return nullScalar, nil
-	case s.kind != KindDate:
-		return scalar{}, errEval(v, fmt.Errorf("EXTRACT requires a date, got %s", s.kind))
-	}
-	y, m, d := dateParts(s.i)
-	switch v.Unit {
-	case "YEAR":
-		return scalar{kind: KindInt, i: int64(y)}, nil
-	case "MONTH":
-		return scalar{kind: KindInt, i: int64(m)}, nil
-	default:
-		return scalar{kind: KindInt, i: int64(d)}, nil
-	}
 }
 
 func (ctx *evalCtx) evalSubstring(v *sqlparser.SubstringExpr) (*Vector, error) {
@@ -1144,34 +987,19 @@ func (ctx *evalCtx) evalSubstring(v *sqlparser.SubstringExpr) (*Vector, error) {
 		}
 	}
 	n := vecs[0].Len()
-	out := NewVector(KindString, n)
-	vals := make([]scalar, len(vecs))
+	out := NewVector(sqlsem.KindString, n)
+	vals := make([]sqlsem.Value, len(vecs))
 	for i := 0; i < n; i++ {
 		for k, vec := range vecs {
 			vals[k] = vec.At(i)
 		}
-		if r := substringScalar(vals); r.isNull() {
+		if r := sqlsem.Substring(vals); r.IsNull() {
 			out.SetNull(i)
 		} else {
-			out.Strs[i] = r.s
+			out.Strs[i] = r.S
 		}
 	}
 	return out, nil
-}
-
-// substringScalar is SUBSTRING over one row's operands: the string, the
-// 1-based start and, when present, the length.
-func substringScalar(vals []scalar) scalar {
-	if vals[0].isNull() {
-		return nullScalar
-	}
-	str := vals[0].render()
-	from := min(max(int(vals[1].intVal())-1, 0), len(str))
-	to := len(str)
-	if len(vals) > 2 {
-		to = max(min(from+int(vals[2].intVal()), len(str)), from)
-	}
-	return scalar{kind: KindString, s: str[from:to]}
 }
 
 func (ctx *evalCtx) evalCast(v *sqlparser.CastExpr) (*Vector, error) {
@@ -1180,44 +1008,15 @@ func (ctx *evalCtx) evalCast(v *sqlparser.CastExpr) (*Vector, error) {
 		return nil, err
 	}
 	n := val.Len()
-	bld := newBuilder(n)
-	target := strings.ToLower(v.Type)
+	bld := NewBuilder(n)
 	for i := 0; i < n; i++ {
-		r, err := castScalar(val.At(i), target, v.Type)
+		r, err := sqlsem.Cast(val.At(i), v.Type)
 		if err != nil {
 			return nil, err
 		}
-		bld.append(r)
+		bld.Append(r)
 	}
-	return bld.finalize()
-}
-
-// castScalar casts one value to target, the lower-cased form of the
-// written type typ. The target check follows the NULL check, so an
-// unknown target over an all-NULL (or empty) input does not error.
-func castScalar(s scalar, target, typ string) (scalar, error) {
-	if s.isNull() {
-		return nullScalar, nil
-	}
-	switch target {
-	case "integer", "int", "bigint", "smallint":
-		return scalar{kind: KindInt, i: s.intVal()}, nil
-	case "double", "float", "real", "decimal", "numeric":
-		return scalar{kind: KindFloat, f: s.floatVal()}, nil
-	case "varchar", "char", "text", "string":
-		return scalar{kind: KindString, s: s.render()}, nil
-	case "date":
-		if s.kind == KindDate {
-			return s, nil
-		}
-		d, err := parseDate(s.render())
-		if err != nil {
-			return scalar{}, fmt.Errorf("invalid date %q: %w", s.render(), err)
-		}
-		return scalar{kind: KindDate, i: d}, nil
-	default:
-		return scalar{}, fmt.Errorf("unsupported cast target %q", typ)
-	}
+	return bld.Finalize()
 }
 
 func (ctx *evalCtx) evalFunc(v *sqlparser.FuncCall) (*Vector, error) {
@@ -1239,12 +1038,12 @@ func (ctx *evalCtx) evalFunc(v *sqlparser.FuncCall) (*Vector, error) {
 			return nil, err
 		}
 	}
-	apply, err := scalarFunc(v.Name, len(args))
+	apply, err := sqlsem.Func(v.Name, len(args))
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]scalar, len(args))
-	row := func(i int) scalar {
+	vals := make([]sqlsem.Value, len(args))
+	row := func(i int) sqlsem.Value {
 		for k, a := range args {
 			vals[k] = a.At(i)
 		}
@@ -1252,102 +1051,28 @@ func (ctx *evalCtx) evalFunc(v *sqlparser.FuncCall) (*Vector, error) {
 	}
 	switch v.Name {
 	case "length", "char_length":
-		out := NewVector(KindInt, n)
+		out := NewVector(sqlsem.KindInt, n)
 		for i := 0; i < n; i++ {
-			out.Ints[i] = row(i).i
+			out.Ints[i] = row(i).I
 		}
 		return out, nil
 	case "upper", "lower":
-		out := NewVector(KindString, n)
+		out := NewVector(sqlsem.KindString, n)
 		for i := 0; i < n; i++ {
-			out.Strs[i] = row(i).s
+			out.Strs[i] = row(i).S
 		}
 		return out, nil
 	case "round":
-		out := NewVector(KindFloat, n)
+		out := NewVector(sqlsem.KindFloat, n)
 		for i := 0; i < n; i++ {
-			out.Floats[i] = row(i).f
+			out.Floats[i] = row(i).F
 		}
 		return out, nil
 	default: // abs, coalesce: the result kind follows the arguments'
-		bld := newBuilder(n)
+		bld := NewBuilder(n)
 		for i := 0; i < n; i++ {
-			bld.append(row(i))
+			bld.Append(row(i))
 		}
-		return bld.finalize()
-	}
-}
-
-// scalarFunc checks a scalar function's name and arity and returns its
-// per-row form over one row's argument values; the batch evaluator and the
-// fused closures share it.
-func scalarFunc(name string, nargs int) (func(vals []scalar) scalar, error) {
-	switch name {
-	case "abs":
-		if nargs != 1 {
-			return nil, fmt.Errorf("abs expects 1 argument")
-		}
-		return func(vals []scalar) scalar {
-			s := vals[0]
-			if s.isNull() {
-				return nullScalar
-			}
-			f := s.floatVal()
-			if f < 0 {
-				f = -f
-			}
-			if s.kind == KindInt {
-				return scalar{kind: KindInt, i: int64(f)}
-			}
-			return scalar{kind: KindFloat, f: f}
-		}, nil
-	case "length", "char_length":
-		if nargs != 1 {
-			return nil, fmt.Errorf("%s expects 1 argument", name)
-		}
-		// No NULL check: the interpreters measure the rendered value, and
-		// NULL renders as the 4-character string "NULL".
-		return func(vals []scalar) scalar {
-			return scalar{kind: KindInt, i: int64(len(vals[0].render()))}
-		}, nil
-	case "upper":
-		return func(vals []scalar) scalar {
-			return scalar{kind: KindString, s: strings.ToUpper(vals[0].render())}
-		}, nil
-	case "lower":
-		return func(vals []scalar) scalar {
-			return scalar{kind: KindString, s: strings.ToLower(vals[0].render())}
-		}, nil
-	case "coalesce":
-		return func(vals []scalar) scalar {
-			for _, s := range vals {
-				if !s.isNull() {
-					return s
-				}
-			}
-			return nullScalar
-		}, nil
-	case "round":
-		if nargs == 0 {
-			return nil, fmt.Errorf("round expects at least 1 argument")
-		}
-		return func(vals []scalar) scalar {
-			f := vals[0].floatVal()
-			scale := 0
-			if len(vals) > 1 {
-				scale = int(vals[1].intVal())
-			}
-			mult := 1.0
-			for k := 0; k < scale; k++ {
-				mult *= 10
-			}
-			half := 0.5
-			if f < 0 {
-				half = -0.5
-			}
-			return scalar{kind: KindFloat, f: float64(int64(f*mult+half)) / mult}
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown function %q", name)
+		return bld.Finalize()
 	}
 }

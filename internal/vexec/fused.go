@@ -2,7 +2,6 @@ package vexec
 
 import (
 	"fmt"
-	"strings"
 
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
@@ -22,9 +21,8 @@ import (
 // operators, serial or morsel-parallel.
 //
 // Compilation mirrors the batch evaluator: the same resolution rules, NULL
-// semantics (through sqlsem), the same per-row helpers for functions,
-// CAST, EXTRACT and SUBSTRING (scalarFunc, castScalar, extractScalar,
-// substringScalar), and the same eagerness — every sub-expression is
+// semantics and per-row bodies of functions, CAST, EXTRACT and SUBSTRING
+// (all from sqlsem), and the same eagerness — every sub-expression is
 // evaluated at every row before its operator applies (no short-circuiting
 // in AND/OR/CASE/IN), and the contexts the evaluator wraps with
 // deferToFallback defer here too.
@@ -32,7 +30,7 @@ import (
 // rowFn is one compiled expression evaluated at row i of the scanned
 // table. j is the inner row of a decorrelated sub-query's pair predicate
 // (see compileApplyProbe); every other closure ignores it.
-type rowFn func(i, j int) (scalar, error)
+type rowFn func(i, j int) (sqlsem.Value, error)
 
 // fusedScope resolves column references at compile time: cols[k] is the
 // vector behind meta[k]. Columns at positions >= inner read at the inner
@@ -84,7 +82,7 @@ func passConds(conds []cond, i int) (bool, error) {
 		if err != nil {
 			return false, deferToFallback(err)
 		}
-		if !v.boolVal() {
+		if !sqlsem.Lift(v).Accept() {
 			return false, nil
 		}
 	}
@@ -113,36 +111,8 @@ func applyFused(b *Batch, conds []cond) error {
 	return nil
 }
 
-func boolScalar(b bool) scalar {
-	if b {
-		return scalar{kind: KindBool, i: 1}
-	}
-	return scalar{kind: KindBool}
-}
-
-// tri lifts the scalar into the ternary-logic domain: NULL is UNKNOWN.
-func (s scalar) tri() sqlsem.Tri {
-	if s.isNull() {
-		return sqlsem.Unknown
-	}
-	return sqlsem.Of(s.boolVal())
-}
-
-// triScalar lowers a ternary truth value into a boolean scalar: UNKNOWN
-// becomes NULL.
-func triScalar(t sqlsem.Tri) scalar {
-	switch t {
-	case sqlsem.True:
-		return boolScalar(true)
-	case sqlsem.False:
-		return boolScalar(false)
-	default:
-		return nullScalar
-	}
-}
-
-func constFn(s scalar) rowFn {
-	return func(int, int) (scalar, error) { return s, nil }
+func constFn(s sqlsem.Value) rowFn {
+	return func(int, int) (sqlsem.Value, error) { return s, nil }
 }
 
 // compileAll compiles a list of expressions, stopping at the first error.
@@ -158,8 +128,8 @@ func (ex *executor) compileAll(exprs []sqlparser.Expr, sc *fusedScope) ([]rowFn,
 }
 
 // evalAll evaluates compiled expressions eagerly at one row.
-func evalAll(fns []rowFn, i, j int) ([]scalar, error) {
-	vals := make([]scalar, len(fns))
+func evalAll(fns []rowFn, i, j int) ([]sqlsem.Value, error) {
+	vals := make([]sqlsem.Value, len(fns))
 	for k, fn := range fns {
 		var err error
 		if vals[k], err = fn(i, j); err != nil {
@@ -179,17 +149,17 @@ func (ex *executor) compile(e sqlparser.Expr, sc *fusedScope) (rowFn, error) {
 		}
 		return constFn(s), nil
 	case *sqlparser.StringLit:
-		return constFn(scalar{kind: KindString, s: v.Value}), nil
+		return constFn(sqlsem.NewString(v.Value)), nil
 	case *sqlparser.BoolLit:
-		return constFn(boolScalar(v.Value)), nil
+		return constFn(sqlsem.NewBool(v.Value)), nil
 	case *sqlparser.NullLit:
-		return constFn(nullScalar), nil
+		return constFn(sqlsem.Null()), nil
 	case *sqlparser.DateLit:
-		d, err := parseDate(v.Value)
+		d, err := sqlsem.ParseDate(v.Value)
 		if err != nil {
-			return nil, errEval(e, fmt.Errorf("invalid date %q: %w", v.Value, err))
+			return nil, errEval(e, err)
 		}
-		return constFn(scalar{kind: KindDate, i: d}), nil
+		return constFn(sqlsem.NewDate(d)), nil
 	case *sqlparser.IntervalLit:
 		// Bare intervals evaluate to their numeric count; date arithmetic
 		// with a unit is handled in compileBinary.
@@ -205,9 +175,9 @@ func (ex *executor) compile(e sqlparser.Expr, sc *fusedScope) (rowFn, error) {
 		}
 		vec := sc.cols[idx]
 		if idx >= sc.inner {
-			return func(_, j int) (scalar, error) { return vec.At(j), nil }, nil
+			return func(_, j int) (sqlsem.Value, error) { return vec.At(j), nil }, nil
 		}
-		return func(i, _ int) (scalar, error) { return vec.At(i), nil }, nil
+		return func(i, _ int) (sqlsem.Value, error) { return vec.At(i), nil }, nil
 	case *sqlparser.ParenExpr:
 		return ex.compile(v.Expr, sc)
 	case *sqlparser.UnaryExpr:
@@ -224,22 +194,21 @@ func (ex *executor) compile(e sqlparser.Expr, sc *fusedScope) (rowFn, error) {
 			return nil, err
 		}
 		val, lof, hif := fns[0], fns[1], fns[2]
-		return func(i, j int) (scalar, error) {
+		return func(i, j int) (sqlsem.Value, error) {
 			a, err := val(i, j)
 			if err != nil {
-				return scalar{}, err
+				return sqlsem.Value{}, err
 			}
 			lo, err := lof(i, j)
 			if err != nil {
-				return scalar{}, err
+				return sqlsem.Value{}, err
 			}
 			hi, err := hif(i, j)
 			if err != nil {
-				return scalar{}, err
+				return sqlsem.Value{}, err
 			}
-			geLo := sqlsem.CompareNullable(">=", a.isNull() || lo.isNull(), compareScalarsNonNull(a, lo))
-			leHi := sqlsem.CompareNullable("<=", a.isNull() || hi.isNull(), compareScalarsNonNull(a, hi))
-			return triScalar(sqlsem.Between(geLo, leHi, v.Not)), nil
+			geLo, leHi := sqlsem.CompareValues(">=", a, lo), sqlsem.CompareValues("<=", a, hi)
+			return sqlsem.Lower(sqlsem.Between(geLo, leHi, v.Not)), nil
 		}, nil
 	case *sqlparser.InExpr:
 		if v.Subquery != nil {
@@ -251,12 +220,12 @@ func (ex *executor) compile(e sqlparser.Expr, sc *fusedScope) (rowFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(i, j int) (scalar, error) {
+		return func(i, j int) (sqlsem.Value, error) {
 			s, err := val(i, j)
 			if err != nil {
-				return scalar{}, err
+				return sqlsem.Value{}, err
 			}
-			return boolScalar(s.isNull() != v.Not), nil
+			return sqlsem.NewBool(s.IsNull() != v.Not), nil
 		}, nil
 	case *sqlparser.ExistsExpr:
 		return ex.compileExists(v, sc)
@@ -282,26 +251,17 @@ func (ex *executor) compileUnary(v *sqlparser.UnaryExpr, sc *fusedScope) (rowFn,
 	}
 	switch v.Op {
 	case "NOT":
-		return func(i, j int) (scalar, error) {
+		return func(i, j int) (sqlsem.Value, error) {
 			s, err := val(i, j)
 			if err != nil {
-				return scalar{}, err
+				return sqlsem.Value{}, err
 			}
-			return triScalar(sqlsem.Not(s.tri())), nil
+			return sqlsem.Lower(sqlsem.Not(sqlsem.Lift(s))), nil
 		}, nil
 	case "-":
-		return func(i, j int) (scalar, error) {
+		return func(i, j int) (sqlsem.Value, error) {
 			s, err := val(i, j)
-			switch {
-			case err != nil:
-				return scalar{}, err
-			case s.isNull():
-				return nullScalar, nil
-			case s.kind == KindInt:
-				return scalar{kind: KindInt, i: -s.i}, nil
-			default:
-				return scalar{kind: KindFloat, f: -s.floatVal()}, nil
-			}
+			return sqlsem.Negate(s), err
 		}, nil
 	case "+":
 		return val, nil
@@ -321,25 +281,16 @@ func (ex *executor) compileBinary(v *sqlparser.BinaryExpr, sc *fusedScope) (rowF
 		if err != nil {
 			return nil, err
 		}
-		n := ns.intVal()
+		n := ns.Int()
 		if v.Op == "-" {
 			n = -n
 		}
-		return func(i, j int) (scalar, error) {
+		return func(i, j int) (sqlsem.Value, error) {
 			s, err := l(i, j)
-			switch {
-			case err != nil:
-				return scalar{}, err
-			case s.isNull():
-				return nullScalar, nil
-			case s.kind != KindDate:
-				return scalar{}, fmt.Errorf("interval arithmetic requires a date, got %s", s.kind)
+			if err != nil {
+				return sqlsem.Value{}, err
 			}
-			d, ok := addInterval(s.i, n, iv.Unit)
-			if !ok {
-				return scalar{}, fmt.Errorf("unknown interval unit %q", iv.Unit)
-			}
-			return scalar{kind: KindDate, i: d}, nil
+			return sqlsem.AddInterval(s, n, iv.Unit)
 		}, nil
 	}
 
@@ -352,7 +303,7 @@ func (ex *executor) compileBinary(v *sqlparser.BinaryExpr, sc *fusedScope) (rowF
 		return nil, err
 	}
 	l, r := fns[0], fns[1]
-	eval := func(i, j int) (a, b scalar, err error) {
+	eval := func(i, j int) (a, b sqlsem.Value, err error) {
 		if a, err = l(i, j); err == nil {
 			b, err = r(i, j)
 		}
@@ -361,49 +312,47 @@ func (ex *executor) compileBinary(v *sqlparser.BinaryExpr, sc *fusedScope) (rowF
 	switch op := v.Op; op {
 	case "AND", "OR":
 		and := op == "AND"
-		return func(i, j int) (scalar, error) {
+		return func(i, j int) (sqlsem.Value, error) {
 			// Both arms evaluate eagerly, like the batch evaluator's
 			// whole-batch arms; arm errors defer the statement.
 			a, b, err := eval(i, j)
 			switch {
 			case err != nil:
-				return scalar{}, deferToFallback(err)
+				return sqlsem.Value{}, deferToFallback(err)
 			case and:
-				return triScalar(sqlsem.And(a.tri(), b.tri())), nil
+				return sqlsem.Lower(sqlsem.And(sqlsem.Lift(a), sqlsem.Lift(b))), nil
 			default:
-				return triScalar(sqlsem.Or(a.tri(), b.tri())), nil
+				return sqlsem.Lower(sqlsem.Or(sqlsem.Lift(a), sqlsem.Lift(b))), nil
 			}
 		}, nil
 	case "+", "-", "*", "/", "%", "||":
-		return func(i, j int) (scalar, error) {
+		return func(i, j int) (sqlsem.Value, error) {
 			a, b, err := eval(i, j)
 			if err != nil {
-				return scalar{}, err
+				return sqlsem.Value{}, err
 			}
-			out, err := arithScalar(op, a, b)
+			out, err := sqlsem.Arithmetic(op, a, b)
 			if err != nil {
-				return scalar{}, errEval(v, err)
+				return sqlsem.Value{}, errEval(v, err)
 			}
 			return out, nil
 		}, nil
 	case "=", "<>", "<", "<=", ">", ">=":
-		return func(i, j int) (scalar, error) {
+		return func(i, j int) (sqlsem.Value, error) {
 			a, b, err := eval(i, j)
-			if err != nil || a.isNull() || b.isNull() {
-				return nullScalar, err
+			if err != nil {
+				return sqlsem.Value{}, err
 			}
-			return boolScalar(sqlsem.Compare(op, compareScalars(a, b)) == sqlsem.True), nil
+			return sqlsem.Lower(sqlsem.CompareValues(op, a, b)), nil
 		}, nil
 	case "LIKE", "NOT LIKE":
 		negate := op == "NOT LIKE"
-		return func(i, j int) (scalar, error) {
+		return func(i, j int) (sqlsem.Value, error) {
 			a, b, err := eval(i, j)
 			if err != nil {
-				return scalar{}, err
+				return sqlsem.Value{}, err
 			}
-			eitherNull := a.isNull() || b.isNull()
-			matched := !eitherNull && likeMatch(a.render(), b.render())
-			return triScalar(sqlsem.Like(eitherNull, matched, negate)), nil
+			return sqlsem.Lower(sqlsem.LikeValues(a, b, negate)), nil
 		}, nil
 	default:
 		return nil, fmt.Errorf("unknown binary operator %q", v.Op)
@@ -432,31 +381,31 @@ func (ex *executor) compileCase(v *sqlparser.CaseExpr, sc *fusedScope) (rowFn, e
 	if err != nil {
 		return nil, deferToFallback(err)
 	}
-	return func(i, j int) (scalar, error) {
-		var opVal scalar
+	return func(i, j int) (sqlsem.Value, error) {
+		var opVal sqlsem.Value
 		if operand != nil {
 			var err error
 			if opVal, err = operand(i, j); err != nil {
-				return scalar{}, err
+				return sqlsem.Value{}, err
 			}
 		}
 		// All arms evaluate eagerly (the batch evaluator computes every arm
 		// over the whole batch); arm errors defer the statement. The first
 		// hitting WHEN picks its THEN, the ELSE arm (last) otherwise.
-		var out scalar
+		var out sqlsem.Value
 		picked := false
 		for k := 0; k+1 < len(fns); k += 2 {
 			w, err := fns[k](i, j)
 			if err != nil {
-				return scalar{}, deferToFallback(err)
+				return sqlsem.Value{}, deferToFallback(err)
 			}
 			t, err := fns[k+1](i, j)
 			if err != nil {
-				return scalar{}, deferToFallback(err)
+				return sqlsem.Value{}, deferToFallback(err)
 			}
-			hit := w.boolVal()
+			hit := w.Bool()
 			if operand != nil {
-				hit = equalScalars(opVal, w)
+				hit = sqlsem.Equal(opVal, w)
 			}
 			if hit && !picked {
 				out, picked = t, true
@@ -464,7 +413,7 @@ func (ex *executor) compileCase(v *sqlparser.CaseExpr, sc *fusedScope) (rowFn, e
 		}
 		e, err := fns[len(fns)-1](i, j)
 		if err != nil {
-			return scalar{}, deferToFallback(err)
+			return sqlsem.Value{}, deferToFallback(err)
 		}
 		if !picked {
 			out = e
@@ -482,10 +431,10 @@ func (ex *executor) compileInList(v *sqlparser.InExpr, sc *fusedScope) (rowFn, e
 	if err != nil {
 		return nil, deferToFallback(err)
 	}
-	return func(i, j int) (scalar, error) {
+	return func(i, j int) (sqlsem.Value, error) {
 		a, err := val(i, j)
 		if err != nil {
-			return scalar{}, err
+			return sqlsem.Value{}, err
 		}
 		// Every item evaluates, like the batch evaluator's item vectors; item
 		// errors defer. Membership is decided by the items before the first
@@ -494,18 +443,18 @@ func (ex *executor) compileInList(v *sqlparser.InExpr, sc *fusedScope) (rowFn, e
 		for _, item := range items {
 			s, err := item(i, j)
 			if err != nil {
-				return scalar{}, deferToFallback(err)
+				return sqlsem.Value{}, deferToFallback(err)
 			}
 			if found {
 				continue
 			}
-			if equalScalars(a, s) {
+			if sqlsem.Equal(a, s) {
 				found = true
-			} else if s.isNull() {
+			} else if s.IsNull() {
 				listHasNull = true
 			}
 		}
-		return triScalar(inTri(a.isNull(), found, listHasNull, v.Not)), nil
+		return sqlsem.Lower(inTri(a.IsNull(), found, listHasNull, v.Not)), nil
 	}, nil
 }
 
@@ -514,12 +463,16 @@ func (ex *executor) compileExtract(v *sqlparser.ExtractExpr, sc *fusedScope) (ro
 	if err != nil {
 		return nil, err
 	}
-	return func(i, j int) (scalar, error) {
+	return func(i, j int) (sqlsem.Value, error) {
 		s, err := val(i, j)
 		if err != nil {
-			return scalar{}, err
+			return sqlsem.Value{}, err
 		}
-		return extractScalar(v, s)
+		r, err := sqlsem.Extract(v.Unit, s)
+		if err != nil {
+			return sqlsem.Value{}, errEval(v, err)
+		}
+		return r, nil
 	}, nil
 }
 
@@ -532,12 +485,12 @@ func (ex *executor) compileSubstring(v *sqlparser.SubstringExpr, sc *fusedScope)
 	if err != nil {
 		return nil, err
 	}
-	return func(i, j int) (scalar, error) {
+	return func(i, j int) (sqlsem.Value, error) {
 		vals, err := evalAll(fns, i, j)
 		if err != nil {
-			return scalar{}, err
+			return sqlsem.Value{}, err
 		}
-		return substringScalar(vals), nil
+		return sqlsem.Substring(vals), nil
 	}, nil
 }
 
@@ -546,13 +499,12 @@ func (ex *executor) compileCast(v *sqlparser.CastExpr, sc *fusedScope) (rowFn, e
 	if err != nil {
 		return nil, err
 	}
-	target := strings.ToLower(v.Type)
-	return func(i, j int) (scalar, error) {
+	return func(i, j int) (sqlsem.Value, error) {
 		s, err := val(i, j)
 		if err != nil {
-			return scalar{}, err
+			return sqlsem.Value{}, err
 		}
-		return castScalar(s, target, v.Type)
+		return sqlsem.Cast(s, v.Type)
 	}, nil
 }
 
@@ -564,14 +516,14 @@ func (ex *executor) compileFunc(v *sqlparser.FuncCall, sc *fusedScope) (rowFn, e
 	if err != nil {
 		return nil, err
 	}
-	apply, err := scalarFunc(v.Name, len(args))
+	apply, err := sqlsem.Func(v.Name, len(args))
 	if err != nil {
 		return nil, err
 	}
-	return func(i, j int) (scalar, error) {
+	return func(i, j int) (sqlsem.Value, error) {
 		vals, err := evalAll(args, i, j)
 		if err != nil {
-			return scalar{}, err
+			return sqlsem.Value{}, err
 		}
 		return apply(vals), nil
 	}, nil
@@ -593,10 +545,10 @@ func applyGroup(as *applyState, keys []rowFn, i int) (g int32, ok bool, err erro
 		if err != nil {
 			return 0, false, deferToFallback(err)
 		}
-		if s.isNull() {
+		if s.IsNull() {
 			return 0, false, nil
 		}
-		buf = append(appendScalarKey(buf, s), '|')
+		buf = append(sqlsem.AppendKey(buf, s), '|')
 	}
 	g, ok = as.groups[string(buf)]
 	return g, ok, nil
@@ -650,7 +602,7 @@ func (ex *executor) compileApplyProbe(as *applyState, sc *fusedScope) func(i int
 				if err != nil {
 					return nil, deferToFallback(err)
 				}
-				pass[k] = pass[k] && v.boolVal()
+				pass[k] = pass[k] && sqlsem.Lift(v).Accept()
 			}
 		}
 		out := cand[:0]
@@ -671,15 +623,15 @@ func (ex *executor) compileExists(v *sqlparser.ExistsExpr, sc *fusedScope) (rowF
 		return nil, err
 	}
 	if !st.correlated {
-		return constFn(boolScalar(st.exists != v.Not)), nil
+		return constFn(sqlsem.NewBool(st.exists != v.Not)), nil
 	}
 	probe := ex.compileApplyProbe(st.apply, sc)
-	return func(i, _ int) (scalar, error) {
+	return func(i, _ int) (sqlsem.Value, error) {
 		cand, err := probe(i)
 		if err != nil {
-			return scalar{}, err
+			return sqlsem.Value{}, err
 		}
-		return boolScalar((len(cand) > 0) != v.Not), nil
+		return sqlsem.NewBool((len(cand) > 0) != v.Not), nil
 	}, nil
 }
 
@@ -698,9 +650,9 @@ func (ex *executor) compileScalarSub(v *sqlparser.SubqueryExpr, sc *fusedScope) 
 	as := st.apply
 	if as.shape == plan.ApplyAgg {
 		keys, keyErr := ex.compileAll(as.outerKeys, sc)
-		return func(i, _ int) (scalar, error) {
+		return func(i, _ int) (sqlsem.Value, error) {
 			if keyErr != nil {
-				return scalar{}, deferToFallback(keyErr)
+				return sqlsem.Value{}, deferToFallback(keyErr)
 			}
 			g, ok, err := applyGroup(as, keys, i)
 			if err != nil || !ok {
@@ -710,10 +662,10 @@ func (ex *executor) compileScalarSub(v *sqlparser.SubqueryExpr, sc *fusedScope) 
 		}, nil
 	}
 	probe := ex.compileApplyProbe(as, sc)
-	return func(i, _ int) (scalar, error) {
+	return func(i, _ int) (sqlsem.Value, error) {
 		cand, err := probe(i)
 		if err != nil || len(cand) == 0 {
-			return nullScalar, err
+			return sqlsem.Null(), err
 		}
 		return as.projVals.At(int(cand[0])), nil
 	}, nil
@@ -731,45 +683,45 @@ func (ex *executor) compileInSub(v *sqlparser.InExpr, sc *fusedScope) (rowFn, er
 	if err != nil {
 		return nil, err
 	}
-	in := func(a scalar, found, hasNull, empty bool) scalar {
-		t := sqlsem.In(a.isNull(), found, hasNull, empty)
+	in := func(a sqlsem.Value, found, hasNull, empty bool) sqlsem.Value {
+		t := sqlsem.In(a.IsNull(), found, hasNull, empty)
 		if v.Not {
 			t = sqlsem.Not(t)
 		}
-		return triScalar(t)
+		return sqlsem.Lower(t)
 	}
 	if !st.correlated {
-		return func(i, j int) (scalar, error) {
+		return func(i, j int) (sqlsem.Value, error) {
 			a, err := val(i, j)
 			if err != nil {
-				return scalar{}, err
+				return sqlsem.Value{}, err
 			}
 			found := false
-			if !a.isNull() && len(st.set) > 0 {
-				found = st.set[string(appendScalarKey(nil, a))]
+			if !a.IsNull() && len(st.set) > 0 {
+				found = st.set[string(sqlsem.AppendKey(nil, a))]
 			}
 			return in(a, found, st.setHasNull, st.setEmpty), nil
 		}, nil
 	}
 	as := st.apply
 	probe := ex.compileApplyProbe(as, sc)
-	return func(i, j int) (scalar, error) {
+	return func(i, j int) (sqlsem.Value, error) {
 		a, err := val(i, j)
 		if err != nil {
-			return scalar{}, err
+			return sqlsem.Value{}, err
 		}
 		cand, err := probe(i)
 		if err != nil {
-			return scalar{}, err
+			return sqlsem.Value{}, err
 		}
 		var found, hasNull bool
 		for _, c := range cand {
 			s := as.projVals.At(int(c))
-			if s.isNull() {
+			if s.IsNull() {
 				hasNull = true
 				continue
 			}
-			if equalScalars(a, s) {
+			if sqlsem.Equal(a, s) {
 				found = true
 				break
 			}

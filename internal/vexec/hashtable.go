@@ -1,6 +1,10 @@
 package vexec
 
-import "strconv"
+import (
+	"strconv"
+
+	"sqalpel/internal/sqlsem"
+)
 
 // This file implements the hash table shared by the hash join, hash
 // aggregation and DISTINCT operators: open addressing with linear probing
@@ -13,14 +17,14 @@ import "strconv"
 // and single string keys take typed fast paths that hash the payload value
 // without any encoding. Everything else — compound keys, float keys with
 // their int/float duality, mixed-kind join sides — is encoded row by row
-// into a reusable []byte buffer using exactly the byte scheme of the old
-// string keys (and of engine.Value.Key): kind-class prefixes keep 1 and '1'
-// apart, int-valued floats normalize to the integer digits so mixed numeric
-// keys still meet, and '|' terminates each key of a compound row. Because
-// the typed modes are injective refinements of that encoding, a table can
-// migrate mid-stream: when a later batch disagrees with the stored mode
-// (an expression key that flips from int to float between batches), the
-// stored keys are re-encoded once and the table continues in byte mode.
+// into a reusable []byte buffer with sqlsem.AppendKey's byte scheme:
+// kind-class prefixes keep 1 and '1' apart, int-valued floats normalize to
+// the integer digits so mixed numeric keys still meet, and '|' terminates
+// each key of a compound row. Because the typed modes are injective
+// refinements of that encoding, a table can migrate mid-stream: when a
+// later batch disagrees with the stored mode (an expression key that flips
+// from int to float between batches), the stored keys are re-encoded once
+// and the table continues in byte mode.
 
 // keyMode selects the key storage of a hash table.
 type keyMode uint8
@@ -33,26 +37,18 @@ const (
 	modeBytes         // compound or mixed keys: row encodings in a byte arena
 )
 
-// Key-class prefix bytes of the byte encoding, shared with the old
-// strings.Builder scheme (and engine.Value.Key): kinds must never collide.
-const (
-	classStr  byte = 0x01
-	classDate byte = 0x02
-	classNum  byte = 0x03
-)
-
 // classWild marks an all-NULL key vector: it joins and groups only through
 // its NULL rows, so it is compatible with every typed mode.
 const classWild byte = 0xff
 
-// nullKeyHash is the slot hash of the NULL key in the typed modes (NULL
-// keys hash equal so NULL groups with NULL, mirroring the \x00N encoding).
+// nullKeyHash is the slot hash of the NULL key in the typed modes: NULL
+// keys hash equal so NULL groups with NULL, as in sqlsem.AppendKey.
 const nullKeyHash uint64 = 0x9e3779b97f4a7c15
 
 // hashTable maps keys to dense group ids 0..n-1 in first-insertion order.
 type hashTable struct {
 	mode     keyMode
-	intClass byte // classNum or classDate while mode == modeInt
+	intClass byte // sqlsem.KeyNumber or sqlsem.KeyDate while mode == modeInt
 
 	// Open addressing: slots holds group id + 1 (0 = empty), hashes the
 	// full 64-bit hash of the occupying key so growth never re-hashes and
@@ -350,7 +346,7 @@ func (ht *hashTable) setMode(mode keyMode, class byte, dict *Dictionary) {
 // result matches what encodeRowKey produces for a single-key row.
 func (ht *hashTable) appendGroupKey(buf []byte, g int) []byte {
 	if int32(g) == ht.nullGroup && ht.mode != modeBytes {
-		return append(buf, 0x00, 'N', '|')
+		return append(sqlsem.AppendKey(buf, sqlsem.Null()), '|')
 	}
 	switch ht.mode {
 	case modeInt:
@@ -358,13 +354,13 @@ func (ht *hashTable) appendGroupKey(buf []byte, g int) []byte {
 		buf = strconv.AppendInt(buf, ht.intKeys[g], 10)
 		return append(buf, '|')
 	case modeStr:
-		buf = append(buf, classStr)
+		buf = append(buf, sqlsem.KeyString)
 		buf = append(buf, ht.strKeys[g]...)
 		return append(buf, '|')
 	case modeDict:
 		// decode to the modeStr byte form so dict- and raw-keyed tables
 		// produce identical encodings and can merge
-		buf = append(buf, classStr)
+		buf = append(buf, sqlsem.KeyString)
 		buf = append(buf, ht.dict.Vals[ht.intKeys[g]]...)
 		return append(buf, '|')
 	default:
@@ -439,7 +435,7 @@ func (ht *hashTable) getOrInsertKeyOf(other *hashTable, g int, buf []byte) (grou
 		case ht.mode == modeInt && ht.intClass == classWild && other.mode == modeDict:
 			// Only the NULL group is stored here (int placeholder, same
 			// layout modeDict uses): adopt the other's dictionary keying.
-			ht.mode, ht.intClass, ht.dict = modeDict, classStr, other.dict
+			ht.mode, ht.intClass, ht.dict = modeDict, sqlsem.KeyString, other.dict
 			compatible = true
 		case ht.mode == modeDict && other.mode == modeInt && other.intClass == classWild:
 			// A wildcard table only ever holds the NULL group, which the
@@ -484,13 +480,13 @@ type keyCoder struct {
 // key class its non-NULL rows encode under.
 func vecMode(v *Vector) (keyMode, byte) {
 	switch v.Kind {
-	case KindInt, KindBool:
-		return modeInt, classNum
-	case KindDate:
-		return modeInt, classDate
-	case KindString:
-		return modeStr, classStr
-	case KindNull:
+	case sqlsem.KindInt, sqlsem.KindBool:
+		return modeInt, sqlsem.KeyNumber
+	case sqlsem.KindDate:
+		return modeInt, sqlsem.KeyDate
+	case sqlsem.KindString:
+		return modeStr, sqlsem.KeyString
+	case sqlsem.KindNull:
 		// All rows NULL: compatible with any typed mode.
 		return modeInt, classWild
 	default:
@@ -540,7 +536,7 @@ func jointMode(sides ...[]*Vector) (keyMode, byte, *Dictionary) {
 		return modeInt, classWild, nil
 	}
 	if mode == modeStr && dictOK && dict != nil {
-		return modeDict, classStr, dict
+		return modeDict, sqlsem.KeyString, dict
 	}
 	return mode, class, nil
 }
@@ -575,69 +571,27 @@ func (ht *hashTable) prepare(sides ...[]*Vector) keyCoder {
 }
 
 // encodeRowKey appends the byte encoding of row i of the key vectors: one
-// kind-prefixed key per vector, each terminated by '|'. It reproduces the
-// old strings.Builder scheme byte for byte (see appendVecKey).
+// kind-prefixed key per vector, each terminated by '|'.
 func encodeRowKey(buf []byte, vecs []*Vector, i int) []byte {
 	for _, v := range vecs {
-		buf = appendVecKey(buf, v, i)
-		buf = append(buf, '|')
+		buf = append(appendVecKey(buf, v, i), '|')
 	}
 	return buf
 }
 
-// appendVecKey appends the hash-key encoding of row i of the vector,
-// matching engine.Value.Key: kinds stay separate so 1 and '1' never
-// collide, but int-valued floats normalize to the integer digits so mixed
-// numeric join and group keys match.
+// appendVecKey appends sqlsem.AppendKey's encoding of row i without boxing
+// the int-backed and string rows of the hot compound-key loops; NULL and
+// float rows (with their int/float duality) go through the boxed value.
 func appendVecKey(buf []byte, v *Vector, i int) []byte {
-	if v.IsNull(i) {
-		return append(buf, 0x00, 'N')
-	}
-	switch v.Kind {
-	case KindString:
-		buf = append(buf, classStr)
-		return append(buf, v.StrAt(i)...)
-	case KindDate:
-		buf = append(buf, classDate)
-		return strconv.AppendInt(buf, v.Ints[i], 10)
-	case KindInt, KindBool:
-		buf = append(buf, classNum)
-		return strconv.AppendInt(buf, v.Ints[i], 10)
-	case KindFloat:
-		buf = append(buf, classNum)
-		if v.IsInt != nil && v.IsInt[i] {
-			return strconv.AppendInt(buf, v.Ints[i], 10)
-		}
-		f := v.Floats[i]
-		if f == float64(int64(f)) {
-			return strconv.AppendInt(buf, int64(f), 10)
-		}
-		return strconv.AppendFloat(buf, f, 'g', -1, 64)
-	}
-	return buf
-}
-
-// appendScalarKey appends the hash-key encoding of one boxed scalar, the
-// byte form of the old appendKey (used by DISTINCT aggregates).
-func appendScalarKey(buf []byte, s scalar) []byte {
-	switch s.kind {
-	case KindNull:
-		return append(buf, 0x00, 'N')
-	case KindString:
-		buf = append(buf, classStr)
-		return append(buf, s.s...)
-	case KindDate:
-		buf = append(buf, classDate)
-		return strconv.AppendInt(buf, s.i, 10)
-	case KindFloat:
-		buf = append(buf, classNum)
-		if s.f == float64(int64(s.f)) {
-			return strconv.AppendInt(buf, int64(s.f), 10)
-		}
-		return strconv.AppendFloat(buf, s.f, 'g', -1, 64)
-	default:
-		buf = append(buf, classNum)
-		return strconv.AppendInt(buf, s.i, 10)
+	switch {
+	case v.IsNull(i) || v.Kind == sqlsem.KindFloat:
+		return sqlsem.AppendKey(buf, v.At(i))
+	case v.Kind == sqlsem.KindString:
+		return append(append(buf, sqlsem.KeyString), v.StrAt(i)...)
+	case v.Kind == sqlsem.KindDate:
+		return strconv.AppendInt(append(buf, sqlsem.KeyDate), v.Ints[i], 10)
+	default: // KindInt, KindBool
+		return strconv.AppendInt(append(buf, sqlsem.KeyNumber), v.Ints[i], 10)
 	}
 }
 

@@ -3,6 +3,8 @@ package vexec
 import (
 	"fmt"
 	"testing"
+
+	"sqalpel/internal/sqlsem"
 )
 
 // TestHashTableTypedInt locks in the int fast path: dense first-seen group
@@ -69,6 +71,30 @@ func TestHashTableGrowth(t *testing.T) {
 	}
 	if g := hs.lookupStr("k123"); g != 123 {
 		t.Fatalf("str lookup = %d", g)
+	}
+}
+
+// TestVecKeyMatchesAppendKey holds the unboxed row-key encoder to the
+// boxed one on every vector kind: NULL rows, bools, dates, dictionary and
+// plain strings, and floats with and without the int/float duality.
+func TestVecKeyMatchesAppendKey(t *testing.T) {
+	dup := NewVector(sqlsem.KindFloat, 3)
+	dup.Floats = []float64{2.5, 3, 4}
+	dup.IsInt, dup.Ints = []bool{false, true, false}, []int64{0, 3, 0}
+	dup.SetNull(2)
+	bools := NewVector(sqlsem.KindBool, 2)
+	bools.Ints[1] = 1
+	dates := NewVector(sqlsem.KindDate, 2)
+	dates.Ints[0] = 9000
+	dates.SetNull(1)
+	strs := strVec("x", "", "x")
+	for _, v := range []*Vector{intVec(-4, 0, 7), bools, dates, strs, dictEncode(strs), dup, allNullVec(sqlsem.KindInt, 2)} {
+		for i := 0; i < v.Len(); i++ {
+			got, want := appendVecKey(nil, v, i), sqlsem.AppendKey(nil, v.At(i))
+			if string(got) != string(want) {
+				t.Errorf("%s row %d: key %q, want %q", v.Kind, i, got, want)
+			}
+		}
 	}
 }
 
@@ -147,7 +173,7 @@ func TestHashTableNullMigration(t *testing.T) {
 // TestJointMode pins down the mode decision across join sides.
 func TestJointMode(t *testing.T) {
 	iv, sv, fv := intVec(1), strVec("a"), floatVec(1.5)
-	dv := NewVector(KindDate, 1)
+	dv := NewVector(sqlsem.KindDate, 1)
 	nv := NewNullVector(1)
 	cases := []struct {
 		sides []([]*Vector)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/trace"
 )
 
@@ -684,69 +685,69 @@ type aggAcc struct {
 	sumI        int64
 	sumF        float64
 	sumIsInt    bool
-	minV        scalar
-	maxV        scalar
+	minV        sqlsem.Value
+	maxV        sqlsem.Value
 	distinct    *hashTable
 	distinctBuf []byte
 }
 
-func (a *aggAcc) fold(val scalar, distinct bool) {
-	if val.isNull() {
+func (a *aggAcc) fold(val sqlsem.Value, distinct bool) {
+	if val.IsNull() {
 		return
 	}
 	if distinct {
-		a.distinctBuf = appendScalarKey(a.distinctBuf[:0], val)
+		a.distinctBuf = sqlsem.AppendKey(a.distinctBuf[:0], val)
 		if _, isNew := a.distinct.getOrInsertBytes(a.distinctBuf); !isNew {
 			return
 		}
 	}
 	a.count++
-	if val.kind == KindInt {
-		a.sumI += val.i
+	if val.Kind == sqlsem.KindInt {
+		a.sumI += val.I
 	} else {
 		a.sumIsInt = false
 	}
-	a.sumF += val.floatVal()
-	if a.minV.kind == KindNull || compareScalars(val, a.minV) < 0 {
+	a.sumF += val.Float()
+	if a.minV.Kind == sqlsem.KindNull || sqlsem.Compare(val, a.minV) < 0 {
 		a.minV = val
 	}
-	if a.maxV.kind == KindNull || compareScalars(val, a.maxV) > 0 {
+	if a.maxV.Kind == sqlsem.KindNull || sqlsem.Compare(val, a.maxV) > 0 {
 		a.maxV = val
 	}
 }
 
-func (a *aggAcc) finalize(name string, star bool, groupRows int64) (scalar, error) {
+func (a *aggAcc) finalize(name string, star bool, groupRows int64) (sqlsem.Value, error) {
 	switch name {
 	case "count":
 		if star {
-			return scalar{kind: KindInt, i: groupRows}, nil
+			return sqlsem.NewInt(groupRows), nil
 		}
-		return scalar{kind: KindInt, i: a.count}, nil
+		return sqlsem.NewInt(a.count), nil
 	case "sum":
 		if a.count == 0 {
-			return nullScalar, nil
+			return sqlsem.Null(), nil
 		}
 		if a.sumIsInt {
-			return scalar{kind: KindInt, i: a.sumI}, nil
+			return sqlsem.NewInt(a.sumI), nil
 		}
-		return scalar{kind: KindFloat, f: a.sumF}, nil
+		return sqlsem.NewFloat(a.sumF), nil
 	case "avg":
 		if a.count == 0 {
-			return nullScalar, nil
+			return sqlsem.Null(), nil
 		}
-		return scalar{kind: KindFloat, f: a.sumF / float64(a.count)}, nil
+		return sqlsem.NewFloat(a.sumF / float64(a.count)), nil
 	case "min":
 		if a.count == 0 {
-			return nullScalar, nil
+			return sqlsem.Null(), nil
 		}
 		return a.minV, nil
 	case "max":
 		if a.count == 0 {
-			return nullScalar, nil
+			return sqlsem.Null(), nil
 		}
 		return a.maxV, nil
 	default:
-		return scalar{}, fmt.Errorf("unknown aggregate %q", name)
+		return sqlsem.Value{}, fmt.Errorf("unknown aggregate %q", name)
 	}
 }
 
@@ -754,7 +755,7 @@ func (a *aggAcc) finalize(name string, star bool, groupRows int64) (scalar, erro
 type aggState struct {
 	rows   int64
 	accs   []aggAcc
-	firsts []scalar
+	firsts []sqlsem.Value
 }
 
 // aggResult is the output of hash aggregation: one logical row per group.
@@ -854,7 +855,7 @@ func collectCarriedRefs(stmt *sqlparser.SelectStatement) []*sqlparser.ColumnRef 
 
 // newAggState allocates the accumulators of one group.
 func newAggState(specs []aggSpec, carried []*sqlparser.ColumnRef) *aggState {
-	st := &aggState{accs: make([]aggAcc, len(specs)), firsts: make([]scalar, len(carried))}
+	st := &aggState{accs: make([]aggAcc, len(specs)), firsts: make([]sqlsem.Value, len(carried))}
 	for i := range st.accs {
 		st.accs[i].sumIsInt = true
 		if specs[i].call.Distinct {
@@ -897,27 +898,27 @@ func aggBatchVectors(ex *executor, b *Batch, stmt *sqlparser.SelectStatement, sp
 func buildAggResult(specs []aggSpec, carried []*sqlparser.ColumnRef, order []*aggState) (*aggResult, error) {
 	res := &aggResult{n: len(order), aggs: map[string]*Vector{}, refs: map[string]*Vector{}}
 	for ai, s := range specs {
-		bld := newBuilder(len(order))
+		bld := NewBuilder(len(order))
 		name := strings.ToLower(s.call.Name)
 		for _, st := range order {
 			val, err := st.accs[ai].finalize(name, s.call.Star, st.rows)
 			if err != nil {
 				return nil, err
 			}
-			bld.append(val)
+			bld.Append(val)
 		}
-		vec, err := bld.finalize()
+		vec, err := bld.Finalize()
 		if err != nil {
 			return nil, err
 		}
 		res.aggs[s.key] = vec
 	}
 	for ri, r := range carried {
-		bld := newBuilder(len(order))
+		bld := NewBuilder(len(order))
 		for _, st := range order {
-			bld.append(st.firsts[ri])
+			bld.Append(st.firsts[ri])
 		}
-		vec, err := bld.finalize()
+		vec, err := bld.Finalize()
 		if err != nil {
 			return nil, err
 		}

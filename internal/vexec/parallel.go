@@ -74,22 +74,6 @@ func parallelFor(p, n int, fn func(int)) {
 	wg.Wait()
 }
 
-// add accumulates another stats record, the merge step of thread-local
-// morsel counters.
-func (s *Stats) add(o Stats) {
-	s.RowsScanned += o.RowsScanned
-	s.Batches += o.Batches
-	s.FilterPasses += o.FilterPasses
-	s.HashJoins += o.HashJoins
-	s.JoinBuildRows += o.JoinBuildRows
-	s.JoinProbeRows += o.JoinProbeRows
-	s.LoopJoins += o.LoopJoins
-	s.Groups += o.Groups
-	s.AggRows += o.AggRows
-	s.RowsReturned += o.RowsReturned
-	s.BlocksSkipped += o.BlocksSkipped
-}
-
 // --- morsel sources -----------------------------------------------------------
 
 // morselSource is a random-access row source the morsel driver windows:
@@ -287,7 +271,7 @@ func (ex *executor) materializeOp(op operator) (*Batch, error) {
 		}
 	})
 	for _, st := range stats {
-		ex.stats.add(st)
+		ex.stats.Add(st)
 	}
 	mergeMorselDeltas(&src, layers, deltas)
 	for _, err := range errs {
@@ -423,7 +407,7 @@ func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer
 		}
 	})
 	for m := range morsels {
-		ex.stats.add(morsels[m].stats)
+		ex.stats.Add(morsels[m].stats)
 		if morsels[m].deltas != nil {
 			src.span.Merge(morsels[m].deltas[0])
 			for li := range layers {

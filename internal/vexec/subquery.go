@@ -5,6 +5,7 @@ import (
 
 	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/trace"
 )
 
@@ -22,9 +23,9 @@ type subState struct {
 	correlated bool
 
 	// Uncorrelated materialization.
-	scalarVal  scalar          // first row of the first column; NULL when empty
+	scalarVal  sqlsem.Value    // first row of the first column; NULL when empty
 	exists     bool            // any result rows
-	set        map[string]bool // non-NULL first-column keys (appendScalarKey)
+	set        map[string]bool // non-NULL first-column keys (sqlsem.AppendKey)
 	setHasNull bool            // the first column had a NULL row
 	setEmpty   bool            // the result was entirely empty (no rows at all)
 
@@ -46,9 +47,9 @@ type applyState struct {
 	groups map[string]int32 // encoded inner key -> group id
 	lists  joinLists        // per-group inner-row chains in row order
 
-	projVals  *Vector // per inner row: the projected value (ApplyIn/ApplyFirst)
-	groupVals *Vector // per group: the aggregated projection (ApplyAgg)
-	emptyVal  scalar  // ApplyAgg value of an empty group (count 0, NULL sums)
+	projVals  *Vector      // per inner row: the projected value (ApplyIn/ApplyFirst)
+	groupVals *Vector      // per group: the aggregated projection (ApplyAgg)
+	emptyVal  sqlsem.Value // ApplyAgg value of an empty group (count 0, NULL sums)
 }
 
 // prepareSubqueries materializes the sub-query states of one SELECT core,
@@ -107,7 +108,7 @@ func (ex *executor) prepareSub(s *sqlparser.SelectStatement, subPrefix string) e
 	}
 	n := res.NumRows()
 	st.exists = n > 0
-	st.scalarVal = nullScalar
+	st.scalarVal = sqlsem.Null()
 	if n > 0 && len(res.Cols) > 0 {
 		// Scalar sites read the first row; extra rows are not an error, like
 		// the interpreters.
@@ -119,11 +120,11 @@ func (ex *executor) prepareSub(s *sqlparser.SelectStatement, subPrefix string) e
 		var buf []byte
 		for i := 0; i < n; i++ {
 			sv := col.At(i)
-			if sv.isNull() {
+			if sv.IsNull() {
 				st.setHasNull = true
 				continue
 			}
-			buf = appendScalarKey(buf[:0], sv)
+			buf = sqlsem.AppendKey(buf[:0], sv)
 			st.set[string(buf)] = true
 		}
 	}

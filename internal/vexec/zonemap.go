@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 )
 
 // zoneBlockRows is the zone-map block granularity. Both shipped batch sizes
@@ -14,7 +15,7 @@ const zoneBlockRows = 1024
 
 // zoneClass says which payload domain a column's zone bounds live in. A
 // column is zoneNone when its values cannot be bounded in a way that agrees
-// with compareScalars for every literal: integers at or beyond 2^52 (where
+// with sqlsem.Compare for every literal: integers at or beyond 2^52 (where
 // the float64 image of a comparison could disagree with the exact int64
 // comparison the row path uses), float columns containing NaN, and string
 // columns too wide to bound cheaply are all excluded rather than risk a
@@ -76,11 +77,11 @@ func buildZoneMap(cols []TableColumn, rows int) *zoneMap {
 func buildColumnZones(v *Vector, nb int) (zoneClass, []zoneEntry) {
 	var class zoneClass
 	switch v.Kind {
-	case KindInt, KindBool, KindDate:
+	case sqlsem.KindInt, sqlsem.KindBool, sqlsem.KindDate:
 		class = zoneInt
-	case KindFloat:
+	case sqlsem.KindFloat:
 		class = zoneFloat
-	case KindString:
+	case sqlsem.KindString:
 		class = zoneStr
 	default:
 		return zoneNone, nil
@@ -135,16 +136,16 @@ func buildColumnZones(v *Vector, nb int) (zoneClass, []zoneEntry) {
 	return class, entries
 }
 
-// boundScalars returns the block's min/max as scalars in the column's
-// payload domain, matching what compareScalars would see row-at-a-time.
-func (e *zoneEntry) boundScalars(class zoneClass, kind Kind) (lo, hi scalar) {
+// boundScalars returns the block's min/max as values in the column's
+// payload domain, matching what sqlsem.Compare would see row-at-a-time.
+func (e *zoneEntry) boundScalars(class zoneClass, kind sqlsem.Kind) (lo, hi sqlsem.Value) {
 	switch class {
 	case zoneInt:
-		return scalar{kind: kind, i: e.minI}, scalar{kind: kind, i: e.maxI}
+		return sqlsem.Value{Kind: kind, I: e.minI}, sqlsem.Value{Kind: kind, I: e.maxI}
 	case zoneFloat:
-		return scalar{kind: KindFloat, f: e.minF}, scalar{kind: KindFloat, f: e.maxF}
+		return sqlsem.NewFloat(e.minF), sqlsem.NewFloat(e.maxF)
 	default:
-		return scalar{kind: KindString, s: e.minS}, scalar{kind: KindString, s: e.maxS}
+		return sqlsem.NewString(e.minS), sqlsem.NewString(e.maxS)
 	}
 }
 
@@ -155,7 +156,7 @@ func (e *zoneEntry) boundScalars(class zoneClass, kind Kind) (lo, hi scalar) {
 // skippable under any compiled predicate.
 type zonePred struct {
 	col  int
-	test func(e *zoneEntry, class zoneClass, kind Kind) bool
+	test func(e *zoneEntry, class zoneClass, kind sqlsem.Kind) bool
 }
 
 // zonePreds compiles the pushed-down conjuncts of a scan over this table
@@ -224,45 +225,42 @@ func stripParens(e sqlparser.Expr) sqlparser.Expr {
 	}
 }
 
-// zoneLiteral evaluates a literal expression to a scalar, mirroring
+// zoneLiteral evaluates a literal expression to a value, mirroring
 // constVec's literal handling. ok is false for anything non-literal.
-func zoneLiteral(e sqlparser.Expr) (scalar, bool) {
+func zoneLiteral(e sqlparser.Expr) (sqlsem.Value, bool) {
 	switch v := stripParens(e).(type) {
 	case *sqlparser.NumberLit:
 		s, err := parseNumberScalar(v.Value)
 		if err != nil {
-			return scalar{}, false
+			return sqlsem.Value{}, false
 		}
 		return s, true
 	case *sqlparser.StringLit:
-		return scalar{kind: KindString, s: v.Value}, true
+		return sqlsem.NewString(v.Value), true
 	case *sqlparser.BoolLit:
-		if v.Value {
-			return scalar{kind: KindBool, i: 1}, true
-		}
-		return scalar{kind: KindBool, i: 0}, true
+		return sqlsem.NewBool(v.Value), true
 	case *sqlparser.NullLit:
-		return nullScalar, true
+		return sqlsem.Null(), true
 	case *sqlparser.DateLit:
-		days, err := parseDate(v.Value)
+		days, err := sqlsem.ParseDate(v.Value)
 		if err != nil {
-			return scalar{}, false
+			return sqlsem.Value{}, false
 		}
-		return scalar{kind: KindDate, i: days}, true
+		return sqlsem.NewDate(days), true
 	case *sqlparser.UnaryExpr:
 		if v.Op != "-" && v.Op != "+" {
-			return scalar{}, false
+			return sqlsem.Value{}, false
 		}
 		s, ok := zoneLiteral(v.Expr)
-		if !ok || s.isNull() || s.kind == KindString {
-			return scalar{}, false
+		if !ok || s.IsNull() || s.Kind == sqlsem.KindString {
+			return sqlsem.Value{}, false
 		}
 		if v.Op == "-" {
-			s.i, s.f = -s.i, -s.f
+			s.I, s.F = -s.I, -s.F
 		}
 		return s, true
 	default:
-		return scalar{}, false
+		return sqlsem.Value{}, false
 	}
 }
 
@@ -271,11 +269,11 @@ func zoneLiteral(e sqlparser.Expr) (scalar, bool) {
 // compares in the float domain row-at-a-time (ParseFloat-or-zero), and
 // that mapping is not monotonic in string order, so string bounds prove
 // nothing about it.
-func zoneComparable(class zoneClass, lit scalar) bool {
-	if lit.isNull() {
+func zoneComparable(class zoneClass, lit sqlsem.Value) bool {
+	if lit.IsNull() {
 		return true // handled specially: conjunct is UNKNOWN everywhere
 	}
-	if class == zoneStr && lit.kind != KindString {
+	if class == zoneStr && lit.Kind != sqlsem.KindString {
 		return false
 	}
 	return true
@@ -314,24 +312,24 @@ func (t *Table) zonePredFor(alias string, e sqlparser.Expr) (zonePred, bool) {
 			return zonePred{}, false
 		}
 		cmpOp := op
-		return zonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
-			if e.nonNull == 0 || lit.isNull() {
+		return zonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind sqlsem.Kind) bool {
+			if e.nonNull == 0 || lit.IsNull() {
 				return false
 			}
 			lo, hi := e.boundScalars(class, kind)
 			switch cmpOp {
 			case "=":
-				return compareScalars(lo, lit) <= 0 && compareScalars(hi, lit) >= 0
+				return sqlsem.Compare(lo, lit) <= 0 && sqlsem.Compare(hi, lit) >= 0
 			case "<>":
-				return !(compareScalars(lo, lit) == 0 && compareScalars(hi, lit) == 0)
+				return !(sqlsem.Compare(lo, lit) == 0 && sqlsem.Compare(hi, lit) == 0)
 			case "<":
-				return compareScalars(lo, lit) < 0
+				return sqlsem.Compare(lo, lit) < 0
 			case "<=":
-				return compareScalars(lo, lit) <= 0
+				return sqlsem.Compare(lo, lit) <= 0
 			case ">":
-				return compareScalars(hi, lit) > 0
+				return sqlsem.Compare(hi, lit) > 0
 			case ">=":
-				return compareScalars(hi, lit) >= 0
+				return sqlsem.Compare(hi, lit) >= 0
 			}
 			return true
 		}}, true
@@ -352,13 +350,13 @@ func (t *Table) zonePredFor(alias string, e sqlparser.Expr) (zonePred, bool) {
 		if !zoneComparable(class, blo) || !zoneComparable(class, bhi) {
 			return zonePred{}, false
 		}
-		return zonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
-			if e.nonNull == 0 || blo.isNull() || bhi.isNull() {
+		return zonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind sqlsem.Kind) bool {
+			if e.nonNull == 0 || blo.IsNull() || bhi.IsNull() {
 				// a NULL bound makes BETWEEN at best UNKNOWN for every row
 				return false
 			}
 			lo, hi := e.boundScalars(class, kind)
-			return compareScalars(hi, blo) >= 0 && compareScalars(lo, bhi) <= 0
+			return sqlsem.Compare(hi, blo) >= 0 && sqlsem.Compare(lo, bhi) <= 0
 		}}, true
 	case *sqlparser.InExpr:
 		if v.Not || v.Subquery != nil {
@@ -369,24 +367,24 @@ func (t *Table) zonePredFor(alias string, e sqlparser.Expr) (zonePred, bool) {
 			return zonePred{}, false
 		}
 		class := t.zones.classes[col]
-		items := make([]scalar, 0, len(v.List))
+		items := make([]sqlsem.Value, 0, len(v.List))
 		for _, it := range v.List {
 			lit, okl := zoneLiteral(it)
 			if !okl || !zoneComparable(class, lit) {
 				return zonePred{}, false
 			}
-			if lit.isNull() {
+			if lit.IsNull() {
 				continue // a NULL item can only ever contribute UNKNOWN
 			}
 			items = append(items, lit)
 		}
-		return zonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
+		return zonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind sqlsem.Kind) bool {
 			if e.nonNull == 0 {
 				return false
 			}
 			lo, hi := e.boundScalars(class, kind)
 			for _, lit := range items {
-				if compareScalars(lo, lit) <= 0 && compareScalars(hi, lit) >= 0 {
+				if sqlsem.Compare(lo, lit) <= 0 && sqlsem.Compare(hi, lit) >= 0 {
 					return true
 				}
 			}
@@ -407,15 +405,15 @@ func (t *Table) likePred(col int, patExpr sqlparser.Expr) (zonePred, bool) {
 		return zonePred{}, false
 	}
 	lit, ok := zoneLiteral(patExpr)
-	if !ok || lit.kind != KindString {
+	if !ok || lit.Kind != sqlsem.KindString {
 		return zonePred{}, false
 	}
-	prefix := likePrefix(lit.s)
+	prefix := likePrefix(lit.S)
 	if prefix == "" {
 		return zonePred{}, false
 	}
 	upper := nextPrefix(prefix)
-	return zonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind Kind) bool {
+	return zonePred{col: col, test: func(e *zoneEntry, class zoneClass, kind sqlsem.Kind) bool {
 		if e.nonNull == 0 {
 			return false
 		}
