@@ -31,7 +31,12 @@
 // internal/sqlsem: tables store sqlsem.Value columns, results return
 // sqlsem.Value rows, and the interpreters call sqlsem for comparison,
 // hash keys, arithmetic, dates, LIKE, CAST, EXTRACT, SUBSTRING and the
-// scalar functions. The execution counters are vexec.Stats for all of them.
+// scalar functions. The execution counters are vexec.Stats for all of them,
+// and aggregates fold through vexec.Accumulator in all of them. What a
+// statement returns — projection items and names, ORDER BY keys, aggregate
+// calls, the LIMIT/OFFSET window — is resolved once in the shared plan
+// (internal/plan); the interpreters only expand stars against their
+// runtime columns and sort with sqlsem.Compare.
 package engine
 
 import (
@@ -105,9 +110,8 @@ type ExecOptions struct {
 	// the default.
 	MaxJoinRows int
 	// Parallelism caps the intra-query morsel workers of engines that
-	// support them (the vektor family); 0 falls back to the engine's
-	// configured default, 1 forces serial execution. Results are identical
-	// at every setting — only wall-clock changes.
+	// support them (the vektor family); 0 or 1 executes serially. Results
+	// are identical at every setting — only wall-clock changes.
 	Parallelism int
 	// Tracer collects per-operator spans keyed by the plan's operator ids
 	// (internal/trace); nil disables tracing at zero cost.
@@ -227,8 +231,6 @@ func NewRowEngine() Engine {
 
 // ColEngineOptions tune the column engine variant.
 type ColEngineOptions struct {
-	// Version overrides the reported version string.
-	Version string
 	// DisableGuardCasts models the newer engine release that no longer pays
 	// the overflow-guarding widening pass on multiplications.
 	DisableGuardCasts bool
@@ -240,16 +242,12 @@ func NewColEngine() Engine {
 	return &baseEngine{name: "columba", version: "1.0", dialect: "columba", mode: ModeColumn, guardCasts: true, plans: plan.NewCache(0)}
 }
 
-// NewColEngineWithOptions returns a tuned column engine variant, used to
-// compare two versions of the same system.
+// NewColEngineWithOptions returns a tuned column engine variant ("columba
+// 2.0"), used to compare two versions of the same system.
 func NewColEngineWithOptions(opts ColEngineOptions) Engine {
-	version := opts.Version
-	if version == "" {
-		version = "2.0"
-	}
 	return &baseEngine{
 		name:       "columba",
-		version:    version,
+		version:    "2.0",
 		dialect:    "columba",
 		mode:       ModeColumn,
 		guardCasts: !opts.DisableGuardCasts,
@@ -275,7 +273,7 @@ func NewRegistry() *Registry {
 	r := &Registry{engines: map[string]Engine{}, plans: plan.NewCache(0)}
 	r.Register(NewRowEngine())
 	r.Register(NewColEngine())
-	r.Register(NewColEngineWithOptions(ColEngineOptions{Version: "2.0", DisableGuardCasts: true}))
+	r.Register(NewColEngineWithOptions(ColEngineOptions{DisableGuardCasts: true}))
 	r.Register(NewVektorEngine())
 	r.Register(NewVektorEngineWithOptions(VektorOptions{Version: "2.0", BatchSize: 4096}))
 	r.Register(NewFusilEngine())

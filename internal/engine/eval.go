@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"sqalpel/internal/sqlparser"
 	"sqalpel/internal/sqlsem"
@@ -388,115 +387,35 @@ func (ev *evaluator) evalFunc(v *sqlparser.FuncCall) (sqlsem.Value, error) {
 	return apply(args), nil
 }
 
-// evalAggregate computes an aggregate over the evaluator's group rows.
-// The column-at-a-time engine first materialises the argument vector (plus
-// an overflow-guarding widened copy for multiplicative expressions); the
-// row engine folds values directly into the accumulator.
+// evalAggregate computes an aggregate over the evaluator's group rows with
+// vexec's accumulator; the plan validated the call. The column-at-a-time
+// engine first materialises the argument vector (plus an overflow-guarding
+// widened copy for multiplicative expressions); the row engine folds values
+// directly into the accumulator.
 func (ev *evaluator) evalAggregate(v *sqlparser.FuncCall) (sqlsem.Value, error) {
-	name := strings.ToLower(v.Name)
-	if v.Star {
-		if name != "count" {
-			return sqlsem.Value{}, fmt.Errorf("%s(*) is not valid", name)
-		}
-		return sqlsem.NewInt(int64(len(ev.group))), nil
-	}
-	if len(v.Args) != 1 {
-		return sqlsem.Value{}, fmt.Errorf("aggregate %s expects exactly 1 argument", name)
-	}
-	arg := v.Args[0]
-
-	var vals []sqlsem.Value
-	if ev.ex.mode == ModeColumn {
-		vec, err := ev.materializeVector(arg)
+	acc := vexec.NewAccumulator(v)
+	switch {
+	case v.Star:
+	case ev.ex.mode == ModeColumn:
+		vals, err := ev.materializeVector(v.Args[0])
 		if err != nil {
 			return sqlsem.Value{}, err
 		}
-		vals = vec
-	}
-
-	var (
-		count    int64
-		sum      float64
-		sumIsInt = true
-		sumInt   int64
-		min, max sqlsem.Value
-		distinct map[string]bool
-		keyBuf   []byte
-	)
-	if v.Distinct {
-		distinct = map[string]bool{}
-	}
-	fold := func(val sqlsem.Value) {
-		if val.IsNull() {
-			return
-		}
-		if v.Distinct {
-			keyBuf = sqlsem.AppendKey(keyBuf[:0], val)
-			if distinct[string(keyBuf)] {
-				return
-			}
-			distinct[string(keyBuf)] = true
-		}
-		count++
-		if val.Kind == sqlsem.KindInt {
-			sumInt += val.I
-		} else {
-			sumIsInt = false
-		}
-		sum += val.Float()
-		if min.Kind == sqlsem.KindNull || sqlsem.Compare(val, min) < 0 {
-			min = val
-		}
-		if max.Kind == sqlsem.KindNull || sqlsem.Compare(val, max) > 0 {
-			max = val
-		}
-	}
-
-	if vals != nil {
 		for _, val := range vals {
-			fold(val)
+			acc.Fold(val)
 		}
-	} else {
+	default:
 		child := &evaluator{ex: ev.ex, sc: &scope{rel: ev.sc.rel, outer: ev.sc.outer}}
 		for _, ri := range ev.group {
 			child.sc.row = ri
-			val, err := child.eval(arg)
+			val, err := child.eval(v.Args[0])
 			if err != nil {
 				return sqlsem.Value{}, err
 			}
-			fold(val)
+			acc.Fold(val)
 		}
 	}
-
-	switch name {
-	case "count":
-		return sqlsem.NewInt(count), nil
-	case "sum":
-		if count == 0 {
-			return sqlsem.Null(), nil
-		}
-		if sumIsInt {
-			return sqlsem.NewInt(sumInt), nil
-		}
-		return sqlsem.NewFloat(sum), nil
-	case "avg":
-		if count == 0 {
-			return sqlsem.Null(), nil
-		}
-		return sqlsem.NewFloat(sum / float64(count)), nil
-	case "min":
-		if count == 0 {
-			return sqlsem.Null(), nil
-		}
-		return min, nil
-	case "max":
-		if count == 0 {
-			return sqlsem.Null(), nil
-		}
-		return max, nil
-	default:
-		return sqlsem.Value{}, fmt.Errorf("unknown aggregate %q", name)
-	}
+	return acc.Result(v, int64(len(ev.group))), nil
 }
 
 // materializeVector evaluates the expression for every row of the group into

@@ -312,9 +312,6 @@ func allRows(n int) []int {
 
 func (ex *executor) executeSelectCore(sp *plan.Select, outer *scope, prefix string) (*relation, error) {
 	stmt := sp.Stmt
-	if len(stmt.Projection) == 0 {
-		return nil, fmt.Errorf("query has no projection")
-	}
 
 	// FROM inputs + precomputed join order.
 	input, err := ex.buildFrom(sp, outer, prefix)
@@ -342,13 +339,13 @@ func (ex *executor) executeSelectCore(sp *plan.Select, outer *scope, prefix stri
 	var out *relation
 	var sortKeys [][]sqlsem.Value
 	if sp.Grouped {
-		out, sortKeys, err = ex.projectGrouped(stmt, filtered, outer, prefix)
+		out, sortKeys, err = ex.projectGrouped(sp, filtered, outer, prefix)
 	} else {
 		tm = trace.Timer{}
 		if ex.traced(prefix) {
 			tm = ex.tracer.Span(trace.ProjectID(prefix), trace.KindProject).Start()
 		}
-		out, sortKeys, err = ex.projectRows(stmt, filtered, outer)
+		out, sortKeys, err = ex.projectRows(sp, filtered, outer)
 		if err == nil {
 			tm.Done(int64(out.numRows()))
 		}
@@ -366,21 +363,26 @@ func (ex *executor) executeSelectCore(sp *plan.Select, outer *scope, prefix stri
 		tm.Done(int64(out.numRows()))
 	}
 
-	if len(stmt.OrderBy) > 0 {
+	if len(sp.OrderBy) > 0 {
 		tm = trace.Timer{}
 		if ex.traced(prefix) {
 			tm = ex.tracer.Span(trace.SortID(prefix), trace.KindSort).Start()
 		}
-		out = sortRelation(out, sortKeys, stmt.OrderBy)
+		out = sortRelation(out, sortKeys, sp.OrderBy)
 		tm.Done(int64(out.numRows()))
 	}
 
-	if stmt.Limit != nil || stmt.Offset != nil {
+	if sp.Windowed() {
 		tm = trace.Timer{}
 		if ex.traced(prefix) {
 			tm = ex.tracer.Span(trace.LimitID(prefix), trace.KindLimit).Start()
 		}
-		out = applyLimit(out, stmt.Limit, stmt.Offset)
+		lo, hi := sp.Window(out.numRows())
+		keep := make([]int, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			keep = append(keep, i)
+		}
+		out = out.selectRows(keep)
 		tm.Done(int64(out.numRows()))
 	}
 	ex.stats.RowsReturned += int64(out.numRows())
@@ -815,17 +817,25 @@ func (ex *executor) applyFilter(rel *relation, conjuncts []sqlparser.Expr, outer
 
 // projectRows computes the projection of a non-grouped query, returning the
 // output relation plus the ORDER BY sort keys evaluated in the same context.
-func (ex *executor) projectRows(stmt *sqlparser.SelectStatement, rel *relation, outer *scope) (*relation, [][]sqlsem.Value, error) {
-	items, starCols := expandProjection(stmt, rel)
+// Star items expand against the relation's columns.
+func (ex *executor) projectRows(sp *plan.Select, rel *relation, outer *scope) (*relation, [][]sqlsem.Value, error) {
 	out := &relation{n: rel.numRows()}
-	for _, sc := range starCols {
-		out.cols = append(out.cols, &relColumn{table: sc.table, name: sc.name, vals: nil})
-	}
-	for _, it := range items {
-		if it.star {
+	var starCols []*relColumn
+	for _, it := range sp.Items {
+		if !it.Star {
 			continue
 		}
-		out.cols = append(out.cols, &relColumn{table: "", name: it.name, vals: nil})
+		for _, c := range rel.cols {
+			if it.Expands(c.table) {
+				starCols = append(starCols, c)
+				out.cols = append(out.cols, &relColumn{table: c.table, name: c.name})
+			}
+		}
+	}
+	for _, it := range sp.Items {
+		if !it.Star {
+			out.cols = append(out.cols, &relColumn{name: it.Name})
+		}
 	}
 
 	sortKeys := make([][]sqlsem.Value, rel.numRows())
@@ -840,19 +850,19 @@ func (ex *executor) projectRows(stmt *sqlparser.SelectStatement, rel *relation, 
 			out.cols[col].vals = append(out.cols[col].vals, sc.vals[ri])
 			col++
 		}
-		for _, it := range items {
-			if it.star {
+		for _, it := range sp.Items {
+			if it.Star {
 				continue
 			}
-			v, err := ev.eval(it.expr)
+			v, err := ev.eval(it.Expr)
 			if err != nil {
 				return nil, nil, err
 			}
 			out.cols[col].vals = append(out.cols[col].vals, v)
 			col++
 		}
-		if len(stmt.OrderBy) > 0 {
-			keys, err := ex.orderKeys(stmt, ev, out, ri, items)
+		if len(sp.OrderBy) > 0 {
+			keys, err := orderKeys(sp, ev, out, ri)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -864,7 +874,8 @@ func (ex *executor) projectRows(stmt *sqlparser.SelectStatement, rel *relation, 
 
 // projectGrouped computes grouping, aggregation, HAVING and the projection
 // of a grouped query.
-func (ex *executor) projectGrouped(stmt *sqlparser.SelectStatement, rel *relation, outer *scope, prefix string) (*relation, [][]sqlsem.Value, error) {
+func (ex *executor) projectGrouped(sp *plan.Select, rel *relation, outer *scope, prefix string) (*relation, [][]sqlsem.Value, error) {
+	stmt := sp.Stmt
 	// Build groups.
 	var atm trace.Timer
 	if ex.traced(prefix) {
@@ -908,15 +919,10 @@ func (ex *executor) projectGrouped(stmt *sqlparser.SelectStatement, rel *relatio
 	// formed, pre-HAVING — the same accounting as the vectorized engine's.
 	atm.Done(int64(len(order)))
 
-	items, _ := expandProjection(stmt, rel)
-	for _, it := range items {
-		if it.star {
-			return nil, nil, fmt.Errorf("SELECT * is not supported with GROUP BY or aggregates")
-		}
-	}
+	// The plan rejects stars in grouped queries: items map 1:1 to columns.
 	out := &relation{}
-	for _, it := range items {
-		out.cols = append(out.cols, &relColumn{table: "", name: it.name, vals: nil})
+	for _, it := range sp.Items {
+		out.cols = append(out.cols, &relColumn{name: it.Name})
 	}
 
 	var ptm trace.Timer
@@ -941,16 +947,16 @@ func (ex *executor) projectGrouped(stmt *sqlparser.SelectStatement, rel *relatio
 				continue
 			}
 		}
-		for i, it := range items {
-			v, err := gev.eval(it.expr)
+		for i, it := range sp.Items {
+			v, err := gev.eval(it.Expr)
 			if err != nil {
 				return nil, nil, err
 			}
 			out.cols[i].vals = append(out.cols[i].vals, v)
 		}
 		out.n++
-		if len(stmt.OrderBy) > 0 {
-			keys, err := ex.orderKeys(stmt, gev, out, out.n-1, items)
+		if len(sp.OrderBy) > 0 {
+			keys, err := orderKeys(sp, gev, out, out.n-1)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -961,96 +967,23 @@ func (ex *executor) projectGrouped(stmt *sqlparser.SelectStatement, rel *relatio
 	return out, sortKeys, nil
 }
 
-// projectionItem is one resolved projection element.
-type projectionItem struct {
-	name string
-	expr sqlparser.Expr
-	star bool
-}
-
-// expandProjection resolves projection items: star items expand to the input
-// columns, others get their output name from the alias, column name or
-// rendered expression.
-func expandProjection(stmt *sqlparser.SelectStatement, rel *relation) ([]projectionItem, []*relColumn) {
-	var items []projectionItem
-	var starCols []*relColumn
-	for _, p := range stmt.Projection {
-		if p.Star {
-			items = append(items, projectionItem{star: true})
-			for _, c := range rel.cols {
-				if p.Qualifier == "" || strings.EqualFold(p.Qualifier, c.table) {
-					starCols = append(starCols, c)
-				}
-			}
+// orderKeys computes the ORDER BY keys of one output row: keys the plan
+// resolved to an output column read it, the others are evaluated in the
+// current row or group context.
+func orderKeys(sp *plan.Select, ev *evaluator, out *relation, outRow int) ([]sqlsem.Value, error) {
+	keys := make([]sqlsem.Value, len(sp.OrderBy))
+	for i, k := range sp.OrderBy {
+		if k.Col >= 0 {
+			keys[i] = out.cols[k.Col].vals[outRow]
 			continue
 		}
-		name := p.Alias
-		if name == "" {
-			if cr, ok := p.Expr.(*sqlparser.ColumnRef); ok {
-				name = cr.Column
-			} else {
-				name = strings.ToLower(p.Expr.SQL())
-			}
-		}
-		items = append(items, projectionItem{name: strings.ToLower(name), expr: p.Expr})
-	}
-	return items, starCols
-}
-
-// orderKeys evaluates the ORDER BY expressions for the current output row.
-// A bare column reference naming a projection alias sorts by that output
-// column; everything else is evaluated in the current row/group context.
-func (ex *executor) orderKeys(stmt *sqlparser.SelectStatement, ev *evaluator, out *relation, outRow int, items []projectionItem) ([]sqlsem.Value, error) {
-	keys := make([]sqlsem.Value, len(stmt.OrderBy))
-	for i, ob := range stmt.OrderBy {
-		if cr, ok := ob.Expr.(*sqlparser.ColumnRef); ok && cr.Table == "" {
-			matched := false
-			for ci, it := range items {
-				if !it.star && it.name == strings.ToLower(cr.Column) {
-					keys[i] = out.cols[itemColumn(items, len(out.cols), ci)].vals[outRow]
-					matched = true
-					break
-				}
-			}
-			if matched {
-				continue
-			}
-		}
-		if num, ok := ob.Expr.(*sqlparser.NumberLit); ok {
-			// ORDER BY <ordinal>.
-			idx := int(parseNumber(num.Value).Int()) - 1
-			if idx >= 0 && idx < len(out.cols) {
-				keys[i] = out.cols[idx].vals[outRow]
-				continue
-			}
-		}
-		v, err := ev.eval(ob.Expr)
+		v, err := ev.eval(k.Expr)
 		if err != nil {
 			return nil, err
 		}
 		keys[i] = v
 	}
 	return keys, nil
-}
-
-// itemColumn maps a projection item index to its output column index: star
-// items expand to the full star block ahead of the computed columns, so a
-// computed item's column sits after the star block at its non-star rank.
-func itemColumn(items []projectionItem, numOutCols, itemIdx int) int {
-	nonStar := 0
-	for _, it := range items {
-		if !it.star {
-			nonStar++
-		}
-	}
-	starWidth := numOutCols - nonStar
-	rank := 0
-	for i := 0; i < itemIdx; i++ {
-		if !items[i].star {
-			rank++
-		}
-	}
-	return starWidth + rank
 }
 
 // distinctRows removes duplicate output rows (and their sort keys).
@@ -1079,7 +1012,7 @@ func distinctRows(rel *relation, sortKeys [][]sqlsem.Value) (*relation, [][]sqls
 }
 
 // sortRelation sorts the output rows by the precomputed keys.
-func sortRelation(rel *relation, keys [][]sqlsem.Value, orderBy []sqlparser.OrderItem) *relation {
+func sortRelation(rel *relation, keys [][]sqlsem.Value, orderBy []plan.OrderKey) *relation {
 	idx := allRows(rel.numRows())
 	sort.SliceStable(idx, func(a, b int) bool {
 		ka, kb := keys[idx[a]], keys[idx[b]]
@@ -1096,29 +1029,6 @@ func sortRelation(rel *relation, keys [][]sqlsem.Value, orderBy []sqlparser.Orde
 		return false
 	})
 	return rel.selectRows(idx)
-}
-
-// applyLimit applies LIMIT/OFFSET.
-func applyLimit(rel *relation, limit, offset *int64) *relation {
-	if limit == nil && offset == nil {
-		return rel
-	}
-	start := 0
-	if offset != nil {
-		start = int(*offset)
-	}
-	end := rel.numRows()
-	if limit != nil && start+int(*limit) < end {
-		end = start + int(*limit)
-	}
-	if start > rel.numRows() {
-		start = rel.numRows()
-	}
-	var keep []int
-	for i := start; i < end; i++ {
-		keep = append(keep, i)
-	}
-	return rel.selectRows(keep)
 }
 
 // The statement-level analysis that used to live here — conjunct splitting

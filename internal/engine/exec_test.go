@@ -455,7 +455,7 @@ func TestStatsDifferBetweenEngines(t *testing.T) {
 		t.Error("column engine should pay guard casts on multiplications")
 	}
 	// The improved column engine version drops the guard casts.
-	v2 := NewColEngineWithOptions(ColEngineOptions{Version: "2.0", DisableGuardCasts: true})
+	v2 := NewColEngineWithOptions(ColEngineOptions{DisableGuardCasts: true})
 	res2, err := v2.Execute(db, sql, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)

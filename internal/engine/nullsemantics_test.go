@@ -343,3 +343,43 @@ func TestEmptyImplicitGroup(t *testing.T) {
 	res = runAllEngines(t, db, sql)
 	expectRows(t, sql, res, []string{"NULL|NULL"})
 }
+
+// TestOutputShapeEdges pins two statement-level decisions the plan makes
+// once for every engine. The LIMIT/OFFSET window saturates instead of
+// overflowing when the two add up past MaxInt64. Invalid aggregate calls
+// fail whatever the data: over an empty input too, where no group ever
+// evaluates them.
+func TestOutputShapeEdges(t *testing.T) {
+	db := miniDB()
+
+	sql := "SELECT n_name FROM nation LIMIT 9223372036854775807 OFFSET 1"
+	res := runAllEngines(t, db, sql)
+	expectRows(t, sql, res, []string{"ARGENTINA", "BRAZIL", "CANADA", "EGYPT", "FRANCE", "GERMANY", "INDIA"})
+
+	sql = "SELECT n_name FROM nation LIMIT 5 OFFSET 9223372036854775807"
+	res = runAllEngines(t, db, sql)
+	expectRows(t, sql, res, nil)
+
+	sql = "SELECT DISTINCT n_regionkey FROM nation LIMIT 9223372036854775807 OFFSET 1"
+	res = runAllEngines(t, db, sql)
+	expectRows(t, sql, res, []string{"1", "2"})
+
+	sql = "SELECT n_name FROM nation ORDER BY n_nationkey DESC LIMIT 9223372036854775807 OFFSET 6"
+	res = runAllEngines(t, db, sql)
+	expectRows(t, sql, res, []string{"ARGENTINA", "ALGERIA"})
+
+	for _, tc := range []struct{ sql, err string }{
+		{"SELECT n_regionkey, sum(*) FROM nation WHERE n_nationkey < 0 GROUP BY n_regionkey", "sum(*) is not valid"},
+		{"SELECT n_regionkey, sum(n_nationkey, n_regionkey) FROM nation WHERE n_nationkey < 0 GROUP BY n_regionkey", "aggregate sum expects exactly 1 argument"},
+		{"SELECT n_regionkey, count(*) FROM nation WHERE n_nationkey < 0 GROUP BY n_regionkey ORDER BY max(*)", "max(*) is not valid"},
+	} {
+		reg := NewRegistry()
+		for _, key := range reg.Keys() {
+			e := reg.Get(key)
+			_, err := e.Execute(db, tc.sql, ExecOptions{})
+			if err == nil || err.Error() != e.Name()+": "+tc.err {
+				t.Errorf("%s on %q: error %v, want %q", key, tc.sql, err, tc.err)
+			}
+		}
+	}
+}

@@ -24,17 +24,13 @@ import (
 // per table data version and cached — and routes to the interpreter from
 // the plan's precomputed Vectorizable verdict; only data-dependent value
 // shapes (mixed-kind columns, eager-evaluation type errors) still fall
-// back at runtime.
+// back at runtime. The embedded column interpreter is that fallback; it
+// also carries the engine's name, version, dialect and plan cache.
 type vektorEngine struct {
-	name        string
-	version     string
-	dialect     string
-	batchSize   int
-	parallelism int
-	fused       bool
-	fallback    *baseEngine
-	plans       *plan.Cache
-	typed       *typedCache
+	baseEngine
+	batchSize int
+	fused     bool
+	typed     *typedCache
 }
 
 // typedTableEntry pins the typed decoding of one table to the data version
@@ -62,10 +58,6 @@ type VektorOptions struct {
 	// release quadruples it, trading per-batch overhead against cache
 	// residency the way columba 2.0 drops its guard casts.
 	BatchSize int
-	// Parallelism is the default intra-query morsel worker cap applied
-	// when ExecOptions does not set one; 0 or 1 executes serially. Results
-	// are bit-identical at every worker count.
-	Parallelism int
 }
 
 // NewVektorEngine returns the batch-vectorized engine ("vektor 1.0"):
@@ -101,30 +93,10 @@ func newVexecEngine(name string, opts VektorOptions) *vektorEngine {
 		batchSize = vexec.DefaultBatchSize
 	}
 	return &vektorEngine{
-		name:        name,
-		version:     version,
-		dialect:     name,
-		batchSize:   batchSize,
-		parallelism: opts.Parallelism,
-		fallback:    &baseEngine{name: name, version: version, dialect: name, mode: ModeColumn},
-		plans:       plan.NewCache(0),
-		typed:       newTypedCache(),
+		baseEngine: baseEngine{name: name, version: version, dialect: name, mode: ModeColumn, plans: plan.NewCache(0)},
+		batchSize:  batchSize,
+		typed:      newTypedCache(),
 	}
-}
-
-func (e *vektorEngine) Name() string    { return e.name }
-func (e *vektorEngine) Version() string { return e.version }
-func (e *vektorEngine) Dialect() string { return e.dialect }
-
-// SetPlanCache implements PlanCached.
-func (e *vektorEngine) SetPlanCache(c *plan.Cache) { e.plans = c }
-
-// PlanCacheStats implements PlanCached.
-func (e *vektorEngine) PlanCacheStats() (hits, misses uint64) {
-	if e.plans == nil {
-		return 0, 0
-	}
-	return e.plans.Stats()
 }
 
 // Execute resolves the shared logical plan and routes on its Vectorizable
@@ -137,12 +109,9 @@ func (e *vektorEngine) Execute(db *Database, sql string, opts ExecOptions) (*Res
 		return nil, fmt.Errorf("%s: %w", e.name, err)
 	}
 	if !p.Vectorizable {
-		return e.fallback.ExecutePlan(db, p, opts)
+		return e.baseEngine.ExecutePlan(db, p, opts)
 	}
-	vopts := vexec.Options{BatchSize: e.batchSize, MaxJoinRows: opts.MaxJoinRows, Parallelism: e.parallelism, Fused: e.fused, Tracer: opts.Tracer}
-	if opts.Parallelism > 0 {
-		vopts.Parallelism = opts.Parallelism
-	}
+	vopts := vexec.Options{BatchSize: e.batchSize, MaxJoinRows: opts.MaxJoinRows, Parallelism: opts.Parallelism, Fused: e.fused, Tracer: opts.Tracer}
 	if opts.Timeout > 0 {
 		vopts.Deadline = time.Now().Add(opts.Timeout)
 	}
@@ -154,7 +123,7 @@ func (e *vektorEngine) Execute(db *Database, sql string, opts ExecOptions) (*Res
 			// may have recorded partial spans; drop them so the trace
 			// reflects the run that actually produced the result.
 			opts.Tracer.Reset()
-			return e.fallback.ExecutePlan(db, p, opts)
+			return e.baseEngine.ExecutePlan(db, p, opts)
 		}
 		return nil, fmt.Errorf("%s: %w", e.name, err)
 	}

@@ -234,14 +234,13 @@ func TestVektorAgreesOnTrickyShapes(t *testing.T) {
 // TestVektorParallelDeterminism is the conformance test of morsel-driven
 // intra-query parallelism: every workload query (TPC-H, SSB, airtraffic)
 // must produce bit-identical results — same rows, same order, same value
-// kinds, floats equal to the last bit — at Parallelism 1 and 8. The
+// kinds, floats equal to the last bit — serially and at Parallelism 8. The
 // parallel executor guarantees this by merging every morsel stage in
 // morsel order and folding aggregate groups in serial row order.
 func TestVektorParallelDeterminism(t *testing.T) {
 	ssbDB := datagen.SSB(datagen.SSBOptions{ScaleFactor: 0.0003})
 	airDB := datagen.Airtraffic(datagen.AirtrafficOptions{Flights: 2000})
 	serial := engine.NewVektorEngine()
-	parallel := engine.NewVektorEngineWithOptions(engine.VektorOptions{Parallelism: 8})
 	opts := engine.ExecOptions{Timeout: 2 * time.Minute}
 	for _, tc := range []struct {
 		db      *engine.Database
@@ -256,26 +255,18 @@ func TestVektorParallelDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s serial: %v", q.ID, err)
 			}
-			// Per-execution override on the serial engine must behave like
-			// the engine-level default.
 			r8, err := serial.Execute(tc.db, q.SQL, engine.ExecOptions{Timeout: 2 * time.Minute, Parallelism: 8})
 			if err != nil {
-				t.Fatalf("%s parallel(exec): %v", q.ID, err)
+				t.Fatalf("%s parallel: %v", q.ID, err)
 			}
-			rEng, err := parallel.Execute(tc.db, q.SQL, opts)
-			if err != nil {
-				t.Fatalf("%s parallel(engine): %v", q.ID, err)
+			if len(r8.Rows) != len(r1.Rows) {
+				t.Fatalf("%s: %d rows parallel vs %d serial", q.ID, len(r8.Rows), len(r1.Rows))
 			}
-			for _, r := range []*engine.Result{r8, rEng} {
-				if len(r.Rows) != len(r1.Rows) {
-					t.Fatalf("%s: %d rows parallel vs %d serial", q.ID, len(r.Rows), len(r1.Rows))
-				}
-				for i := range r.Rows {
-					for c := range r.Rows[i] {
-						a, b := r1.Rows[i][c], r.Rows[i][c]
-						if a.Kind != b.Kind || a.I != b.I || math.Float64bits(a.F) != math.Float64bits(b.F) || a.S != b.S {
-							t.Fatalf("%s row %d col %d: serial %#v parallel %#v", q.ID, i, c, a, b)
-						}
+			for i := range r8.Rows {
+				for c := range r8.Rows[i] {
+					a, b := r1.Rows[i][c], r8.Rows[i][c]
+					if a.Kind != b.Kind || a.I != b.I || math.Float64bits(a.F) != math.Float64bits(b.F) || a.S != b.S {
+						t.Fatalf("%s row %d col %d: serial %#v parallel %#v", q.ID, i, c, a, b)
 					}
 				}
 			}

@@ -48,6 +48,11 @@ query:
 	SELECT id FROM t WHERE ${l_pred} ORDER BY id
 	SELECT DISTINCT a, s FROM t $[filter]
 	SELECT a FROM t WHERE ${l_pred} UNION SELECT a FROM t WHERE ${l_pred}
+	SELECT t.*, ${l_proj} AS p FROM t $[filter] ORDER BY p DESC, id $[l_limit]
+	SELECT *, ${l_proj} AS p FROM t $[filter] ORDER BY 9, 3 DESC, id $[l_limit]
+	SELECT g, COUNT(*) AS n, ${l_agg} AS v FROM t $[filter] GROUP BY g ORDER BY 2 DESC, 1 $[l_limit]
+	SELECT k, ${l_agg} AS v FROM t $[filter] GROUP BY k ORDER BY v DESC, k $[l_limit]
+	SELECT DISTINCT a, s FROM t $[filter] ORDER BY 1 DESC, s $[l_limit]
 
 filter:
 	WHERE ${l_pred}
@@ -146,6 +151,8 @@ l_agg:
 l_limit:
 	LIMIT 25
 	LIMIT 100
+	LIMIT 10 OFFSET 5
+	LIMIT 9223372036854775807 OFFSET 3
 `
 
 // Options configure one fuzzer run.
@@ -204,25 +211,9 @@ func Run(opts Options) (*Report, error) {
 		opts.Queries = 500
 	}
 
-	g, err := grammar.Parse(GrammarSource)
+	p, err := derive(opts)
 	if err != nil {
-		return nil, fmt.Errorf("parsing fuzz grammar: %w", err)
-	}
-	p, err := pool.New(g, pool.Options{Seed: opts.Seed, MaxSize: opts.Queries})
-	if err != nil {
-		return nil, fmt.Errorf("building query pool: %w", err)
-	}
-	// Derive sqalpel-style: seed a random batch across templates, then walk
-	// the space with the morphing strategies (alter/expand/prune) until the
-	// target count is reached or the walk stalls. The pool dedupes by
-	// sentence key, so every entry is a distinct query.
-	if _, err := p.SeedRandom(opts.Queries / 2); err != nil {
-		return nil, fmt.Errorf("seeding query pool: %w", err)
-	}
-	for p.Size() < opts.Queries {
-		if added := p.Grow(opts.Queries - p.Size()); len(added) == 0 {
-			break
-		}
+		return nil, err
 	}
 
 	db := datagen.Fuzz(datagen.FuzzOptions{Rows: opts.Rows, Seed: uint64(opts.Seed)})
@@ -265,15 +256,52 @@ func Run(opts Options) (*Report, error) {
 	return rep, nil
 }
 
+// derive builds the run's query pool sqalpel-style: seed a random batch
+// across templates, then walk the space with the morphing strategies
+// (alter/expand/prune) until the target count is reached or the walk
+// stalls. The pool dedupes by sentence key, so every entry is a distinct
+// query.
+func derive(opts Options) (*pool.Pool, error) {
+	g, err := grammar.Parse(GrammarSource)
+	if err != nil {
+		return nil, fmt.Errorf("parsing fuzz grammar: %w", err)
+	}
+	p, err := pool.New(g, pool.Options{Seed: opts.Seed, MaxSize: opts.Queries})
+	if err != nil {
+		return nil, fmt.Errorf("building query pool: %w", err)
+	}
+	if _, err := p.SeedRandom(opts.Queries / 2); err != nil {
+		return nil, fmt.Errorf("seeding query pool: %w", err)
+	}
+	for p.Size() < opts.Queries {
+		if added := p.Grow(opts.Queries - p.Size()); len(added) == 0 {
+			break
+		}
+	}
+	return p, nil
+}
+
 // totallyOrdered reports whether the grammar guarantees a total row order
-// for the query: single-table templates ordered by the unique id column
-// (a dim sub-query in the predicate does not break that). Join templates
-// sort by t.id but can carry ties (several matches per left row), so they
-// fall back to the multiset fingerprint.
+// for the query: a single-table template whose last ORDER BY key is unique
+// per output row — the id column, or the grouping column of a grouped
+// template, named or by ordinal (a dim sub-query in the predicate does not
+// break that). Join templates sort by t.id but can carry ties (several
+// matches per left row), so they fall back to the multiset fingerprint, as
+// do all other shapes.
 func totallyOrdered(sql string) bool {
-	return strings.Contains(sql, "ORDER BY id") &&
-		!strings.Contains(sql, "FROM t, dim") &&
-		!strings.Contains(sql, "JOIN dim")
+	if strings.Contains(sql, "FROM t, dim") || strings.Contains(sql, "JOIN dim") {
+		return false
+	}
+	_, keys, ok := strings.Cut(sql, " ORDER BY ")
+	if !ok {
+		return false
+	}
+	keys, _, _ = strings.Cut(keys, " LIMIT ")
+	last := keys[strings.LastIndex(keys, " ")+1:]
+	if last == "1" {
+		last, _, _ = strings.Cut(strings.TrimPrefix(sql, "SELECT "), ",")
+	}
+	return last == "id" || strings.Contains(sql, " GROUP BY "+last+" ")
 }
 
 // Fingerprint encodes a result exactly: every value keeps its kind and, for

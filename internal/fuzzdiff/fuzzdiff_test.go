@@ -97,6 +97,42 @@ func TestGrammarCoversTernaryConstructs(t *testing.T) {
 	}
 }
 
+// TestFuzzDerivesOutputShapes guards the output-shape coverage of the
+// seed-42 run: a star beside an alias, ORDER BY an alias, an ordinal into
+// the star block and DESC, grouped ordinals, and LIMIT with OFFSET —
+// including a LIMIT+OFFSET beyond MaxInt64. Every such ORDER BY ends on a
+// unique key, so those queries compare row order too.
+func TestFuzzDerivesOutputShapes(t *testing.T) {
+	p, err := derive(Options{Seed: 42, Queries: 520})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		shape   string
+		ordered bool // every query with the shape has a total ORDER BY
+	}{
+		{"SELECT t.*, ", true}, {"ORDER BY p DESC, id", true}, {"ORDER BY 9, 3 DESC, id", true},
+		{"ORDER BY 2 DESC, 1", true}, {"ORDER BY v DESC, k", true}, {"ORDER BY 1 DESC, s", false},
+		{"LIMIT 10 OFFSET 5", false}, {"LIMIT 9223372036854775807 OFFSET 3", false},
+	} {
+		n, ordered := 0, 0
+		for _, e := range p.Entries() {
+			if strings.Contains(e.SQL, tc.shape) {
+				n++
+				if totallyOrdered(e.SQL) {
+					ordered++
+				}
+			}
+		}
+		if n == 0 {
+			t.Errorf("no seed-42 query has %q", tc.shape)
+		}
+		if tc.ordered && ordered != n {
+			t.Errorf("%d of %d queries with %q compare as unordered", n-ordered, n, tc.shape)
+		}
+	}
+}
+
 // TestFingerprintExactness makes sure the fingerprint distinguishes what
 // engines must not confuse: NULL vs false, and floats by bit pattern.
 func TestFingerprintExactness(t *testing.T) {

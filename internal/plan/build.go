@@ -2,9 +2,11 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"sqalpel/internal/sqlparser"
+	"sqalpel/internal/sqlsem"
 )
 
 // Build parses and plans a query against the catalog. Parse failures are
@@ -137,14 +139,13 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStatement) (*Select, error) 
 
 	sp.Grouped = len(stmt.GroupBy) > 0 || statementHasAggregates(stmt)
 	if !sp.Grouped && !stmt.Distinct && len(stmt.OrderBy) == 0 && stmt.Limit != nil {
-		sp.EarlyLimit = int(*stmt.Limit)
-		if stmt.Offset != nil {
-			sp.EarlyLimit += int(*stmt.Offset)
-		}
+		_, sp.EarlyLimit = sp.Window(math.MaxInt)
 	}
 
 	sp.Needed = b.neededColumns(stmt)
-	sp.OutSchema = outSchema(stmt, sp.Schema)
+	if err := resolveShape(sp); err != nil {
+		return nil, err
+	}
 	return sp, nil
 }
 
@@ -540,19 +541,26 @@ func statementHasAggregates(stmt *sqlparser.SelectStatement) bool {
 	return stmt.Having != nil && sqlparser.HasAggregate(stmt.Having)
 }
 
-// --- projection & output schema ----------------------------------------------
+// --- projection & output shape -----------------------------------------------
 
-// outSchema computes the statement's output schema against the joined input
-// schema: star items expand to the matching input columns ahead of the
-// computed items, which carry an empty table tag — mirroring the
-// interpreters' projection layout.
-func outSchema(stmt *sqlparser.SelectStatement, input []ColumnMeta) []ColumnMeta {
-	var stars []ColumnMeta
-	var computed []ColumnMeta
+// resolveShape resolves what the SELECT core returns — its projection items
+// and output schema, its ORDER BY keys and its aggregate calls — and rejects
+// the statements no engine can run, whatever the data.
+func resolveShape(sp *Select) error {
+	stmt := sp.Stmt
+	if len(stmt.Projection) == 0 {
+		return fmt.Errorf("query has no projection")
+	}
+	var stars, computed []ColumnMeta
 	for _, p := range stmt.Projection {
 		if p.Star {
-			for _, m := range input {
-				if p.Qualifier == "" || strings.EqualFold(p.Qualifier, m.Table) {
+			if sp.Grouped {
+				return fmt.Errorf("SELECT * is not supported with GROUP BY or aggregates")
+			}
+			it := Item{Star: true, Qualifier: p.Qualifier}
+			sp.Items = append(sp.Items, it)
+			for _, m := range sp.Schema {
+				if it.Expands(m.Table) {
 					stars = append(stars, m)
 				}
 			}
@@ -563,12 +571,91 @@ func outSchema(stmt *sqlparser.SelectStatement, input []ColumnMeta) []ColumnMeta
 			if cr, ok := p.Expr.(*sqlparser.ColumnRef); ok {
 				name = cr.Column
 			} else {
-				name = strings.ToLower(p.Expr.SQL())
+				name = p.Expr.SQL()
 			}
 		}
-		computed = append(computed, ColumnMeta{Table: "", Name: strings.ToLower(name)})
+		it := Item{Name: strings.ToLower(name), Expr: p.Expr}
+		sp.Items = append(sp.Items, it)
+		computed = append(computed, ColumnMeta{Name: it.Name})
 	}
-	return append(stars, computed...)
+	sp.OutSchema = append(stars, computed...)
+
+	for _, ob := range stmt.OrderBy {
+		sp.OrderBy = append(sp.OrderBy, OrderKey{Col: orderColumn(sp, ob.Expr, len(stars)), Expr: ob.Expr, Desc: ob.Desc})
+	}
+
+	// Aggregate calls, validated up front: the interpreters reach them per
+	// group and would otherwise only fail when a group exists.
+	seen := map[string]bool{}
+	collect := func(e sqlparser.Expr, grouped bool) error {
+		var err error
+		sqlparser.WalkExprs(e, func(x sqlparser.Expr) bool {
+			f, ok := x.(*sqlparser.FuncCall)
+			if !ok || !f.IsAggregate() || err != nil {
+				return err == nil
+			}
+			if key := f.SQL(); !seen[key] {
+				seen[key] = true
+				sp.Aggregates = append(sp.Aggregates, f)
+			}
+			switch name := strings.ToLower(f.Name); {
+			case !grouped:
+				err = fmt.Errorf("aggregate %s used outside GROUP BY context", f.Name)
+			case f.Star && name != "count":
+				err = fmt.Errorf("%s(*) is not valid", name)
+			case !f.Star && len(f.Args) != 1:
+				err = fmt.Errorf("aggregate %s expects exactly 1 argument", name)
+			}
+			return false
+		})
+		return err
+	}
+	for _, it := range sp.Items {
+		if err := collect(it.Expr, true); err != nil {
+			return err
+		}
+	}
+	if err := collect(stmt.Having, true); err != nil {
+		return err
+	}
+	for _, k := range sp.OrderBy {
+		if k.Col < 0 {
+			if err := collect(k.Expr, sp.Grouped); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// orderColumn resolves an ORDER BY expression to the output column it sorts
+// by: a bare reference naming a computed item, or an in-range ordinal
+// counting the star columns first. Anything else is -1: the executor
+// evaluates the expression.
+func orderColumn(sp *Select, e sqlparser.Expr, starWidth int) int {
+	switch v := e.(type) {
+	case *sqlparser.ColumnRef:
+		if v.Table != "" {
+			return -1
+		}
+		rank := 0
+		for _, it := range sp.Items {
+			if it.Star {
+				continue
+			}
+			if it.Name == strings.ToLower(v.Column) {
+				return starWidth + rank
+			}
+			rank++
+		}
+	case *sqlparser.NumberLit:
+		if n, err := sqlsem.ParseNumber(v.Value); err == nil {
+			if idx := int(n.Int()) - 1; idx >= 0 && idx < len(sp.OutSchema) {
+				return idx
+			}
+		}
+	}
+	return -1
 }
 
 // --- column pruning ----------------------------------------------------------

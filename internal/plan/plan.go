@@ -17,6 +17,11 @@
 //   - constant folding of integer literal arithmetic in filter predicates,
 //   - sub-query classification (correlated or cacheable) for every nested
 //     SELECT reachable from the statement,
+//   - each SELECT core's output shape: the projection items with their
+//     output names, the ORDER BY keys resolved to output columns (aliases,
+//     ordinals) or expressions, the validated aggregate calls, and the
+//     saturating LIMIT/OFFSET window — so every engine returns the same
+//     columns, order and rows, and fails alike on invalid statements,
 //   - a precomputed Vectorizable verdict with the reason a statement is
 //     outside the vectorized subset, replacing the probe-and-fallback the
 //     vektor adapter used to pay at runtime.
@@ -29,6 +34,8 @@
 package plan
 
 import (
+	"strings"
+
 	"sqalpel/internal/sqlparser"
 )
 
@@ -131,8 +138,9 @@ type Join struct {
 // chain).
 type Select struct {
 	// Stmt is the parsed statement this plan was built from; the executors
-	// still read the projection, grouping, ordering and limit clauses from
-	// it (those are positional and need no resolution pass).
+	// still read the grouping, HAVING and DISTINCT clauses from it. The
+	// output shape — projection items, ORDER BY keys, aggregate calls and
+	// the LIMIT/OFFSET window — is resolved below.
 	Stmt *sqlparser.SelectStatement
 	// From are the resolved FROM items.
 	From []*Input
@@ -152,22 +160,76 @@ type Select struct {
 	VexecResidual []sqlparser.Expr
 	// Grouped reports whether the query groups or aggregates.
 	Grouped bool
-	// EarlyLimit is LIMIT+OFFSET when a plain scan may stop early (no
-	// grouping, DISTINCT or ORDER BY); zero otherwise. Only the row engine
-	// exploits it.
+	// EarlyLimit is the end of the LIMIT/OFFSET window (saturating at
+	// MaxInt) when a plain scan may stop early (no grouping, DISTINCT or
+	// ORDER BY); zero otherwise. Only the row engine exploits it.
 	EarlyLimit int
 	// Needed are the per-alias column sets referenced anywhere in the
 	// statement — the column engine's pruning input.
 	Needed map[string]map[string]bool
 	// Schema is the joined FROM schema in join order.
 	Schema []ColumnMeta
-	// OutSchema is the statement's output schema (star columns expanded,
-	// computed columns with an empty table tag).
+	// Items are the projection items in statement order.
+	Items []Item
+	// OrderBy are the resolved ORDER BY keys.
+	OrderBy []OrderKey
+	// Aggregates are the aggregate calls of the projection, HAVING and
+	// ORDER BY, validated and de-duplicated by SQL text in first-seen order.
+	Aggregates []*sqlparser.FuncCall
+	// OutSchema is the statement's output schema (star columns expanded
+	// ahead of the computed columns, which carry an empty table tag).
 	OutSchema []ColumnMeta
 	// SetNext chains the plan of the next set-operation branch; the
 	// operator is Stmt.SetOp.
 	SetNext *Select
 }
+
+// Item is one projection item: a star with its optional qualifier, or an
+// expression with its output column name.
+type Item struct {
+	// Name is the lower-case output name of a computed item: its alias, the
+	// bare column name of a column reference, or the rendered expression.
+	Name string
+	Expr sqlparser.Expr
+	// Star marks `*` and `q.*`; Qualifier is q.
+	Star      bool
+	Qualifier string
+}
+
+// Expands reports whether a star item expands to a column of the given
+// table tag. Executors expand stars against their runtime columns in item
+// order, all star columns ahead of the computed ones.
+func (it Item) Expands(table string) bool {
+	return it.Qualifier == "" || strings.EqualFold(it.Qualifier, table)
+}
+
+// OrderKey is one resolved ORDER BY item.
+type OrderKey struct {
+	// Col is the output column the key sorts by — a computed item named by
+	// a bare alias, or an in-range ordinal — or -1 when Expr is evaluated
+	// in the row or group context instead.
+	Col  int
+	Expr sqlparser.Expr
+	Desc bool
+}
+
+// Window returns the row range [lo, hi) that the statement's LIMIT and
+// OFFSET keep of n rows. The arithmetic saturates: no LIMIT/OFFSET pair
+// can overflow it.
+func (s *Select) Window(n int) (lo, hi int) {
+	limit, offset := s.Stmt.Limit, s.Stmt.Offset
+	hi = n
+	if offset != nil && *offset > 0 {
+		lo = int(min(*offset, int64(n)))
+	}
+	if limit != nil && max(*limit, 0) < int64(hi-lo) {
+		hi = lo + int(max(*limit, 0))
+	}
+	return lo, hi
+}
+
+// Windowed reports whether the statement has a LIMIT or OFFSET.
+func (s *Select) Windowed() bool { return s.Stmt.Limit != nil || s.Stmt.Offset != nil }
 
 // ApplyShape classifies how a decorrelated sub-query's per-group result is
 // consumed at its use site.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -155,6 +156,85 @@ func TestNeededColumnsAndEarlyLimit(t *testing.T) {
 	grouped := mustBuild(t, "SELECT count(c_name) FROM customer LIMIT 5")
 	if grouped.Root.EarlyLimit != 0 {
 		t.Error("aggregate query must not early-exit")
+	}
+	huge := mustBuild(t, "SELECT c_name FROM customer LIMIT 9223372036854775807 OFFSET 1")
+	if huge.Root.EarlyLimit != math.MaxInt {
+		t.Errorf("early limit = %d, want it saturated at MaxInt", huge.Root.EarlyLimit)
+	}
+}
+
+// TestWindowSaturates pins the one LIMIT/OFFSET window: clamped to the
+// rows there are, and no overflow when LIMIT+OFFSET exceeds MaxInt64.
+func TestWindowSaturates(t *testing.T) {
+	for _, tc := range []struct {
+		clause string
+		n      int
+		lo, hi int
+	}{
+		{"", 8, 0, 8},
+		{"LIMIT 3", 8, 0, 3},
+		{"LIMIT 0", 8, 0, 0},
+		{"OFFSET 6", 8, 6, 8},
+		{"LIMIT 5 OFFSET 2", 8, 2, 7},
+		{"LIMIT 5 OFFSET 6", 8, 6, 8},
+		{"LIMIT 5 OFFSET 20", 8, 8, 8},
+		{"LIMIT 9223372036854775807 OFFSET 1", 8, 1, 8},
+		{"LIMIT 5 OFFSET 9223372036854775807", 8, 8, 8},
+		{"LIMIT 9223372036854775807 OFFSET 9223372036854775807", 8, 8, 8},
+	} {
+		sp := mustBuild(t, "SELECT c_name FROM customer "+tc.clause).Root
+		if lo, hi := sp.Window(tc.n); lo != tc.lo || hi != tc.hi {
+			t.Errorf("%q over %d rows: window [%d, %d), want [%d, %d)", tc.clause, tc.n, lo, hi, tc.lo, tc.hi)
+		}
+	}
+}
+
+// TestOrderKeyResolution pins which ORDER BY items sort by an output column
+// (aliases of computed items and in-range ordinals, stars counted first)
+// and which the executors evaluate.
+func TestOrderKeyResolution(t *testing.T) {
+	sp := mustBuild(t, `SELECT *, o_total * 2 AS dbl, o_custkey FROM orders
+		ORDER BY dbl DESC, 4, o_custkey, orders.o_total, 9, o_total + 1, 0`).Root
+	want := []int{3, 3, 4, -1, -1, -1, -1}
+	if len(sp.OrderBy) != len(want) {
+		t.Fatalf("order keys = %d, want %d", len(sp.OrderBy), len(want))
+	}
+	for i, w := range want {
+		if sp.OrderBy[i].Col != w {
+			t.Errorf("ORDER BY item %d (%s) sorts by column %d, want %d", i, sp.OrderBy[i].Expr.SQL(), sp.OrderBy[i].Col, w)
+		}
+	}
+	if !sp.OrderBy[0].Desc || sp.OrderBy[1].Desc {
+		t.Error("DESC flags lost")
+	}
+	if got := len(sp.Items); got != 3 || !sp.Items[0].Star || sp.Items[1].Name != "dbl" || sp.Items[2].Name != "o_custkey" {
+		t.Errorf("items = %+v", sp.Items)
+	}
+}
+
+// TestAggregateCallsResolved pins the validated, de-duplicated aggregate
+// calls and the statements rejected at plan time.
+func TestAggregateCallsResolved(t *testing.T) {
+	sp := mustBuild(t, `SELECT o_custkey, sum(o_total), count(*) FROM orders GROUP BY o_custkey
+		HAVING sum(o_total) > 1 ORDER BY max(o_total), count(*)`).Root
+	var got []string
+	for _, f := range sp.Aggregates {
+		got = append(got, f.SQL())
+	}
+	if strings.Join(got, ", ") != "sum(o_total), count(*), max(o_total)" {
+		t.Errorf("aggregates = %v", got)
+	}
+	for sql, want := range map[string]string{
+		"SELECT sum(*) FROM orders WHERE o_total < 0":                               "sum(*) is not valid",
+		"SELECT o_custkey, count(*) FROM orders GROUP BY o_custkey ORDER BY max(*)": "max(*) is not valid",
+		"SELECT sum(o_total, o_custkey) FROM orders":                                "aggregate sum expects exactly 1 argument",
+		"SELECT *, count(*) FROM orders":                                            "SELECT * is not supported with GROUP BY or aggregates",
+		"SELECT o_custkey FROM orders ORDER BY max(o_total)":                        "aggregate max used outside GROUP BY context",
+		"SELECT a FROM t UNION SELECT sum(*) FROM orders":                           "sum(*) is not valid",
+	} {
+		if _, err := Build(testCat, sql); err == nil || err.Error() != want {
+			t.Errorf("Build(%q) error = %v, want %q", sql, err, want)
+		}
 	}
 }
 

@@ -38,8 +38,12 @@
 //
 // The package depends only on internal/sqlparser, internal/sqlsem and the
 // shared logical plan of internal/plan: ExecutePlan compiles its pipeline
-// straight from a pre-built plan's classified conjuncts and join steps (Execute plans on
-// the fly for standalone use). It executes the dialect subset that
+// straight from a pre-built plan's classified conjuncts and join steps
+// (Execute plans on the fly for standalone use), and takes each SELECT's
+// output shape — projection items, resolved ORDER BY keys, validated
+// aggregate calls, the LIMIT/OFFSET window — from the plan as well. Its
+// Accumulator is the one aggregate fold and finalize of every engine: the
+// interpreters of internal/engine use it beside Stats and Builder. It executes the dialect subset that
 // vectorizes well (conjunctive filters, equi hash joins, hash aggregation,
 // ordering, DISTINCT, LIMIT and the full scalar expression repertoire);
 // statements using sub-queries, outer joins, derived tables or set

@@ -258,13 +258,9 @@ func (ex *executor) checkDeadline() error {
 // run executes one SELECT core. prefix keys the statement's operator spans:
 // "" at the root, a derived/sub prefix below, noTracePrefix to disable.
 func (ex *executor) run(sp *plan.Select, prefix string) (*Result, error) {
-	stmt := sp.Stmt
-	if len(stmt.Projection) == 0 {
-		return nil, fmt.Errorf("query has no projection")
-	}
 	// Materialize the statement's sub-query states before its pipeline runs:
 	// filters probe them read-only.
-	if err := ex.prepareSubqueries(stmt, prefix); err != nil {
+	if err := ex.prepareSubqueries(sp.Stmt, prefix); err != nil {
 		return nil, err
 	}
 	pipe, err := ex.buildFrom(sp, prefix)
@@ -272,9 +268,9 @@ func (ex *executor) run(sp *plan.Select, prefix string) (*Result, error) {
 		return nil, err
 	}
 	if sp.Grouped {
-		return ex.runGrouped(stmt, pipe, prefix)
+		return ex.runGrouped(sp, pipe, prefix)
 	}
-	return ex.runRows(stmt, pipe, prefix)
+	return ex.runRows(sp, pipe, prefix)
 }
 
 // runBatch executes a nested SELECT core and re-frames its projected output
@@ -487,48 +483,13 @@ func (ex *executor) buildJoinBatch(j *plan.Join) (*Batch, error) {
 
 // --- projection and epilogue -------------------------------------------------
 
-// projItem is one resolved projection element.
-type projItem struct {
-	name string
-	expr sqlparser.Expr
-	star bool
-}
-
-// expandProjection resolves the projection list against the input schema.
-func expandProjection(stmt *sqlparser.SelectStatement, meta []colMeta) ([]projItem, []int) {
-	var items []projItem
-	var starCols []int
-	for _, p := range stmt.Projection {
-		if p.Star {
-			items = append(items, projItem{star: true})
-			for ci, m := range meta {
-				if p.Qualifier == "" || strings.EqualFold(p.Qualifier, m.table) {
-					starCols = append(starCols, ci)
-				}
-			}
-			continue
-		}
-		name := p.Alias
-		if name == "" {
-			if cr, ok := p.Expr.(*sqlparser.ColumnRef); ok {
-				name = cr.Column
-			} else {
-				name = strings.ToLower(p.Expr.SQL())
-			}
-		}
-		items = append(items, projItem{name: strings.ToLower(name), expr: p.Expr})
-	}
-	return items, starCols
-}
-
 // runRows executes a non-grouped query: drain the pipeline, project, then
-// run the shared epilogue.
-func (ex *executor) runRows(stmt *sqlparser.SelectStatement, pipe operator, prefix string) (*Result, error) {
+// run the shared epilogue. Star items expand against the batch's columns.
+func (ex *executor) runRows(sp *plan.Select, pipe operator, prefix string) (*Result, error) {
 	b, err := ex.materializeOp(pipe)
 	if err != nil {
 		return nil, err
 	}
-	items, starCols := expandProjection(stmt, b.meta)
 	ctx := &evalCtx{ex: ex, batch: b}
 
 	var tm trace.Timer
@@ -537,37 +498,40 @@ func (ex *executor) runRows(stmt *sqlparser.SelectStatement, pipe operator, pref
 	}
 	var cols []*Vector
 	var names []string
-	for _, ci := range starCols {
-		cols = append(cols, b.dense(ci))
-		names = append(names, b.meta[ci].name)
-	}
-	for _, it := range items {
-		if it.star {
+	for _, it := range sp.Items {
+		if !it.Star {
 			continue
 		}
-		v, err := ctx.eval(it.expr)
+		for ci, m := range b.meta {
+			if it.Expands(m.table) {
+				cols = append(cols, b.dense(ci))
+				names = append(names, m.name)
+			}
+		}
+	}
+	for _, it := range sp.Items {
+		if it.Star {
+			continue
+		}
+		v, err := ctx.eval(it.Expr)
 		if err != nil {
 			return nil, err
 		}
 		cols = append(cols, v)
-		names = append(names, it.name)
+		names = append(names, it.Name)
 	}
 	tm.Done(int64(b.Len()))
-	sortKeys, err := ex.orderKeyVectors(stmt, items, cols, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return ex.epilogue(stmt, names, cols, sortKeys, b.Len(), prefix)
+	return ex.epilogue(sp, ctx, names, cols, b.Len(), prefix)
 }
 
 // runGrouped executes a grouped query: hash-aggregate the pipeline, apply
 // HAVING, project the groups, then run the shared epilogue.
-func (ex *executor) runGrouped(stmt *sqlparser.SelectStatement, pipe operator, prefix string) (*Result, error) {
+func (ex *executor) runGrouped(sp *plan.Select, pipe operator, prefix string) (*Result, error) {
 	var atm trace.Timer
 	if ex.traceOn(prefix) {
 		atm = ex.tracer.Span(trace.AggID(prefix), trace.KindAgg).Start()
 	}
-	agg, err := ex.hashAggregate(pipe, stmt)
+	agg, err := ex.hashAggregate(pipe, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -575,8 +539,8 @@ func (ex *executor) runGrouped(stmt *sqlparser.SelectStatement, pipe operator, p
 	n := agg.n
 	ctx := &evalCtx{ex: ex, batch: &Batch{n: n}, aggs: agg.aggs, refs: agg.refs}
 
-	if stmt.Having != nil {
-		pred, err := ctx.eval(stmt.Having)
+	if having := sp.Stmt.Having; having != nil {
+		pred, err := ctx.eval(having)
 		if err != nil {
 			return nil, err
 		}
@@ -598,111 +562,42 @@ func (ex *executor) runGrouped(stmt *sqlparser.SelectStatement, pipe operator, p
 		}
 	}
 
-	items, _ := expandProjection(stmt, nil)
-	for _, it := range items {
-		if it.star {
-			return nil, fmt.Errorf("SELECT * is not supported with GROUP BY or aggregates")
-		}
-	}
 	var tm trace.Timer
 	if ex.traceOn(prefix) {
 		tm = ex.tracer.Span(trace.ProjectID(prefix), trace.KindProject).Start()
 	}
-	var cols []*Vector
-	var names []string
-	for _, it := range items {
-		v, err := ctx.eval(it.expr)
+	cols := make([]*Vector, len(sp.Items))
+	names := make([]string, len(sp.Items))
+	for i, it := range sp.Items {
+		v, err := ctx.eval(it.Expr)
 		if err != nil {
 			return nil, err
 		}
-		cols = append(cols, v)
-		names = append(names, it.name)
+		cols[i], names[i] = v, it.Name
 	}
 	tm.Done(int64(n))
-	sortKeys, err := ex.orderKeyVectors(stmt, items, cols, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return ex.epilogue(stmt, names, cols, sortKeys, n, prefix)
-}
-
-// orderKeyVectors evaluates the ORDER BY expressions: a bare reference
-// naming a projection alias sorts by that output column, a numeric literal
-// in range sorts by ordinal, everything else is evaluated in the current
-// context.
-func (ex *executor) orderKeyVectors(stmt *sqlparser.SelectStatement, items []projItem, cols []*Vector, ctx *evalCtx) ([]*Vector, error) {
-	if len(stmt.OrderBy) == 0 {
-		return nil, nil
-	}
-	// Map projection item index to output column index (stars expand ahead
-	// of the computed columns).
-	itemCol := make([]int, len(items))
-	base := 0
-	for _, it := range items {
-		if it.star {
-			base = -1 // star present: computed columns start after the star block
-		}
-	}
-	if base == 0 {
-		for i := range items {
-			itemCol[i] = i
-		}
-	} else {
-		starWidth := len(cols)
-		nonStar := 0
-		for _, it := range items {
-			if !it.star {
-				nonStar++
-			}
-		}
-		starWidth -= nonStar
-		next := starWidth
-		for i, it := range items {
-			if it.star {
-				itemCol[i] = -1
-				continue
-			}
-			itemCol[i] = next
-			next++
-		}
-	}
-
-	keys := make([]*Vector, len(stmt.OrderBy))
-	for oi, ob := range stmt.OrderBy {
-		if cr, ok := ob.Expr.(*sqlparser.ColumnRef); ok && cr.Table == "" {
-			matched := false
-			for ii, it := range items {
-				if !it.star && it.name == strings.ToLower(cr.Column) {
-					keys[oi] = cols[itemCol[ii]]
-					matched = true
-					break
-				}
-			}
-			if matched {
-				continue
-			}
-		}
-		if num, ok := ob.Expr.(*sqlparser.NumberLit); ok {
-			if ns, err := parseNumberScalar(num.Value); err == nil {
-				if idx := int(ns.Int()) - 1; idx >= 0 && idx < len(cols) {
-					keys[oi] = cols[idx]
-					continue
-				}
-			}
-		}
-		v, err := ctx.eval(ob.Expr)
-		if err != nil {
-			return nil, err
-		}
-		keys[oi] = v
-	}
-	return keys, nil
+	return ex.epilogue(sp, ctx, names, cols, n, prefix)
 }
 
 // epilogue applies DISTINCT, ORDER BY and LIMIT/OFFSET to the projected
-// columns and finishes the result.
-func (ex *executor) epilogue(stmt *sqlparser.SelectStatement, names []string, cols []*Vector, sortKeys []*Vector, n int, prefix string) (*Result, error) {
-	if stmt.Distinct {
+// columns and finishes the result. ORDER BY keys the plan resolved to an
+// output column sort by it; the others are evaluated in ctx, the row or
+// group context the projection ran in.
+func (ex *executor) epilogue(sp *plan.Select, ctx *evalCtx, names []string, cols []*Vector, n int, prefix string) (*Result, error) {
+	sortKeys := make([]*Vector, len(sp.OrderBy))
+	for i, k := range sp.OrderBy {
+		if k.Col >= 0 {
+			sortKeys[i] = cols[k.Col]
+			continue
+		}
+		v, err := ctx.eval(k.Expr)
+		if err != nil {
+			return nil, err
+		}
+		sortKeys[i] = v
+	}
+
+	if sp.Stmt.Distinct {
 		var tm trace.Timer
 		if ex.traceOn(prefix) {
 			tm = ex.tracer.Span(trace.DistinctID(prefix), trace.KindDistinct).Start()
@@ -725,7 +620,7 @@ func (ex *executor) epilogue(stmt *sqlparser.SelectStatement, names []string, co
 		tm.Done(int64(n))
 	}
 
-	if len(stmt.OrderBy) > 0 {
+	if len(sortKeys) > 0 {
 		var tm trace.Timer
 		if ex.traceOn(prefix) {
 			tm = ex.tracer.Span(trace.SortID(prefix), trace.KindSort).Start()
@@ -737,11 +632,9 @@ func (ex *executor) epilogue(stmt *sqlparser.SelectStatement, names []string, co
 		// The multi-key comparator is compiled once per query: one
 		// kind-specialized closure per sort key instead of boxing two
 		// values per comparison.
-		cmps := make([]func(a, b int) int, len(stmt.OrderBy))
-		descs := make([]bool, len(stmt.OrderBy))
-		for i := range stmt.OrderBy {
-			cmps[i] = compiledCmp(sortKeys[i])
-			descs[i] = stmt.OrderBy[i].Desc
+		cmps := make([]func(a, b int) int, len(sortKeys))
+		for i, k := range sortKeys {
+			cmps[i] = compiledCmp(k)
 		}
 		sort.SliceStable(idx, func(a, b int) bool {
 			ra, rb := idx[a], idx[b]
@@ -750,7 +643,7 @@ func (ex *executor) epilogue(stmt *sqlparser.SelectStatement, names []string, co
 				if c == 0 {
 					continue
 				}
-				if descs[i] {
+				if sp.OrderBy[i].Desc {
 					return c > 0
 				}
 				return c < 0
@@ -770,24 +663,14 @@ func (ex *executor) epilogue(stmt *sqlparser.SelectStatement, names []string, co
 		tm.Done(int64(n))
 	}
 
-	if stmt.Limit != nil || stmt.Offset != nil {
+	if sp.Windowed() {
 		var tm trace.Timer
 		if ex.traceOn(prefix) {
 			tm = ex.tracer.Span(trace.LimitID(prefix), trace.KindLimit).Start()
 		}
-		start := 0
-		if stmt.Offset != nil {
-			start = int(*stmt.Offset)
-		}
-		end := n
-		if stmt.Limit != nil && start+int(*stmt.Limit) < end {
-			end = start + int(*stmt.Limit)
-		}
-		if start > n {
-			start = n
-		}
-		keep := make([]int, 0, end-start)
-		for i := start; i < end; i++ {
+		lo, hi := sp.Window(n)
+		keep := make([]int, 0, hi-lo)
+		for i := lo; i < hi; i++ {
 			keep = append(keep, i)
 		}
 		cols = gatherAll(cols, keep)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
 	"sqalpel/internal/sqlsem"
 	"sqalpel/internal/trace"
@@ -669,35 +670,40 @@ func (ex *executor) applyFilterBatch(b *Batch, conjuncts []sqlparser.Expr) (*Bat
 
 // --- hash aggregation --------------------------------------------------------
 
-// aggSpec is one distinct aggregate call of the statement.
-type aggSpec struct {
-	call *sqlparser.FuncCall
-	key  string // canonical SQL text
+// Accumulator folds one aggregate call over one group — the single fold
+// and finalize every engine uses: the interpreters per group, vexec's
+// serial, morsel-parallel and decorrelated-apply aggregation per group
+// state. Sums stay integers until a non-integer value arrives; min and max
+// order by sqlsem.Compare; NULLs are skipped. A DISTINCT call's seen set is
+// a byte-keyed hash table with a reusable encoding buffer: seen values cost
+// no allocation at all, new ones only grow the table's arena.
+type Accumulator struct {
+	count      int64
+	sumI       int64
+	sumF       float64
+	mixed      bool // a non-integer value was folded: the sum is a float
+	minV, maxV sqlsem.Value
+	distinct   *hashTable // non-nil for DISTINCT calls
+	keyBuf     []byte
 }
 
-// aggAcc accumulates one aggregate for one group, mirroring the
-// interpreter's fold (distinct sets, int-preserving sums, scalar min/max).
-// The distinct set is a byte-keyed hash table with a reusable encoding
-// buffer: seen values cost no allocation at all, new ones only grow the
-// table's arena.
-type aggAcc struct {
-	count       int64
-	sumI        int64
-	sumF        float64
-	sumIsInt    bool
-	minV        sqlsem.Value
-	maxV        sqlsem.Value
-	distinct    *hashTable
-	distinctBuf []byte
+// NewAccumulator returns the empty accumulator of an aggregate call.
+func NewAccumulator(call *sqlparser.FuncCall) Accumulator {
+	var a Accumulator
+	if call.Distinct {
+		a.distinct = newByteKeyTable(8)
+	}
+	return a
 }
 
-func (a *aggAcc) fold(val sqlsem.Value, distinct bool) {
+// Fold adds one argument value to the group.
+func (a *Accumulator) Fold(val sqlsem.Value) {
 	if val.IsNull() {
 		return
 	}
-	if distinct {
-		a.distinctBuf = sqlsem.AppendKey(a.distinctBuf[:0], val)
-		if _, isNew := a.distinct.getOrInsertBytes(a.distinctBuf); !isNew {
+	if a.distinct != nil {
+		a.keyBuf = sqlsem.AppendKey(a.keyBuf[:0], val)
+		if _, isNew := a.distinct.getOrInsertBytes(a.keyBuf); !isNew {
 			return
 		}
 	}
@@ -705,7 +711,7 @@ func (a *aggAcc) fold(val sqlsem.Value, distinct bool) {
 	if val.Kind == sqlsem.KindInt {
 		a.sumI += val.I
 	} else {
-		a.sumIsInt = false
+		a.mixed = true
 	}
 	a.sumF += val.Float()
 	if a.minV.Kind == sqlsem.KindNull || sqlsem.Compare(val, a.minV) < 0 {
@@ -716,45 +722,35 @@ func (a *aggAcc) fold(val sqlsem.Value, distinct bool) {
 	}
 }
 
-func (a *aggAcc) finalize(name string, star bool, groupRows int64) (sqlsem.Value, error) {
-	switch name {
-	case "count":
-		if star {
-			return sqlsem.NewInt(groupRows), nil
-		}
-		return sqlsem.NewInt(a.count), nil
-	case "sum":
-		if a.count == 0 {
-			return sqlsem.Null(), nil
-		}
-		if a.sumIsInt {
-			return sqlsem.NewInt(a.sumI), nil
-		}
-		return sqlsem.NewFloat(a.sumF), nil
-	case "avg":
-		if a.count == 0 {
-			return sqlsem.Null(), nil
-		}
-		return sqlsem.NewFloat(a.sumF / float64(a.count)), nil
-	case "min":
-		if a.count == 0 {
-			return sqlsem.Null(), nil
-		}
-		return a.minV, nil
-	case "max":
-		if a.count == 0 {
-			return sqlsem.Null(), nil
-		}
-		return a.maxV, nil
-	default:
-		return sqlsem.Value{}, fmt.Errorf("unknown aggregate %q", name)
+// Result finalizes the call over a group of groupRows rows (the count of
+// count(*), which folds no values): count 0 and NULL for the other
+// aggregates of an empty group. The plan validated the call.
+func (a *Accumulator) Result(call *sqlparser.FuncCall, groupRows int64) sqlsem.Value {
+	name := strings.ToLower(call.Name)
+	switch {
+	case call.Star:
+		return sqlsem.NewInt(groupRows)
+	case name == "count":
+		return sqlsem.NewInt(a.count)
+	case a.count == 0:
+		return sqlsem.Null()
+	case name == "sum" && !a.mixed:
+		return sqlsem.NewInt(a.sumI)
+	case name == "sum":
+		return sqlsem.NewFloat(a.sumF)
+	case name == "avg":
+		return sqlsem.NewFloat(a.sumF / float64(a.count))
+	case name == "min":
+		return a.minV
+	default: // max
+		return a.maxV
 	}
 }
 
 // aggState is the running state of one group.
 type aggState struct {
 	rows   int64
-	accs   []aggAcc
+	accs   []Accumulator
 	firsts []sqlsem.Value
 }
 
@@ -765,49 +761,12 @@ type aggResult struct {
 	refs map[string]*Vector // column reference key -> first-row values
 }
 
-// collectAggregates gathers the distinct aggregate calls of the statement's
-// projection, HAVING and ORDER BY.
-func collectAggregates(stmt *sqlparser.SelectStatement) ([]aggSpec, error) {
-	var specs []aggSpec
-	seen := map[string]bool{}
-	walk := func(e sqlparser.Expr) {
-		sqlparser.WalkExprs(e, func(x sqlparser.Expr) bool {
-			if f, ok := x.(*sqlparser.FuncCall); ok && f.IsAggregate() {
-				key := f.SQL()
-				if !seen[key] {
-					seen[key] = true
-					specs = append(specs, aggSpec{call: f, key: key})
-				}
-				return false
-			}
-			return true
-		})
-	}
-	for _, p := range stmt.Projection {
-		walk(p.Expr)
-	}
-	walk(stmt.Having)
-	for _, o := range stmt.OrderBy {
-		walk(o.Expr)
-	}
-	for _, s := range specs {
-		name := strings.ToLower(s.call.Name)
-		if s.call.Star && name != "count" {
-			return nil, fmt.Errorf("%s(*) is not valid", name)
-		}
-		if !s.call.Star && len(s.call.Args) != 1 {
-			return nil, fmt.Errorf("aggregate %s expects exactly 1 argument", name)
-		}
-	}
-	return specs, nil
-}
-
 // collectCarriedRefs gathers the column references of projection, HAVING and
 // ORDER BY that sit outside aggregate arguments; their first-row values per
 // group reproduce the interpreter's "plain columns resolve against the first
-// row of the group" behaviour. ORDER BY items that resolve as projection
-// aliases sort by the output column instead and are not carried.
-func collectCarriedRefs(stmt *sqlparser.SelectStatement) []*sqlparser.ColumnRef {
+// row of the group" behaviour. ORDER BY keys the plan resolved to an output
+// column sort by that column and are not carried.
+func collectCarriedRefs(sp *plan.Select) []*sqlparser.ColumnRef {
 	var refs []*sqlparser.ColumnRef
 	seen := map[string]bool{}
 	walk := func(e sqlparser.Expr) {
@@ -825,62 +784,53 @@ func collectCarriedRefs(stmt *sqlparser.SelectStatement) []*sqlparser.ColumnRef 
 			return true
 		})
 	}
-	itemNames := map[string]bool{}
-	for _, p := range stmt.Projection {
-		if p.Star {
-			continue
-		}
-		name := p.Alias
-		if name == "" {
-			if cr, ok := p.Expr.(*sqlparser.ColumnRef); ok {
-				name = cr.Column
-			} else {
-				name = p.Expr.SQL()
-			}
-		}
-		itemNames[strings.ToLower(name)] = true
+	for _, it := range sp.Items {
+		walk(it.Expr)
 	}
-	for _, p := range stmt.Projection {
-		walk(p.Expr)
-	}
-	walk(stmt.Having)
-	for _, o := range stmt.OrderBy {
-		if cr, ok := o.Expr.(*sqlparser.ColumnRef); ok && cr.Table == "" && itemNames[strings.ToLower(cr.Column)] {
-			continue
+	walk(sp.Stmt.Having)
+	for _, k := range sp.OrderBy {
+		if k.Col < 0 {
+			walk(k.Expr)
 		}
-		walk(o.Expr)
 	}
 	return refs
 }
 
 // newAggState allocates the accumulators of one group.
-func newAggState(specs []aggSpec, carried []*sqlparser.ColumnRef) *aggState {
-	st := &aggState{accs: make([]aggAcc, len(specs)), firsts: make([]sqlsem.Value, len(carried))}
-	for i := range st.accs {
-		st.accs[i].sumIsInt = true
-		if specs[i].call.Distinct {
-			st.accs[i].distinct = newByteKeyTable(8)
-		}
+func newAggState(calls []*sqlparser.FuncCall, carried []*sqlparser.ColumnRef) *aggState {
+	st := &aggState{accs: make([]Accumulator, len(calls)), firsts: make([]sqlsem.Value, len(carried))}
+	for i, call := range calls {
+		st.accs[i] = NewAccumulator(call)
 	}
 	return st
 }
 
+// fold adds row j of the argument vectors to the group.
+func (st *aggState) fold(argVecs []*Vector, j int) {
+	st.rows++
+	for ai, v := range argVecs {
+		if v != nil { // count(*) folds no value
+			st.accs[ai].Fold(v.At(j))
+		}
+	}
+}
+
 // aggBatchVectors evaluates the grouping keys, aggregate arguments and
-// carried references over one batch.
-func aggBatchVectors(ex *executor, b *Batch, stmt *sqlparser.SelectStatement, specs []aggSpec, carried []*sqlparser.ColumnRef) (keyVecs, argVecs, refVecs []*Vector, err error) {
+// carried references over one batch. count(*) has no argument vector.
+func aggBatchVectors(ex *executor, b *Batch, sp *plan.Select, carried []*sqlparser.ColumnRef) (keyVecs, argVecs, refVecs []*Vector, err error) {
 	ctx := &evalCtx{ex: ex, batch: b}
-	keyVecs = make([]*Vector, len(stmt.GroupBy))
-	for i, g := range stmt.GroupBy {
+	keyVecs = make([]*Vector, len(sp.Stmt.GroupBy))
+	for i, g := range sp.Stmt.GroupBy {
 		if keyVecs[i], err = ctx.eval(g); err != nil {
 			return nil, nil, nil, err
 		}
 	}
-	argVecs = make([]*Vector, len(specs))
-	for i, s := range specs {
-		if s.call.Star {
+	argVecs = make([]*Vector, len(sp.Aggregates))
+	for i, call := range sp.Aggregates {
+		if call.Star {
 			continue
 		}
-		if argVecs[i], err = ctx.eval(s.call.Args[0]); err != nil {
+		if argVecs[i], err = ctx.eval(call.Args[0]); err != nil {
 			return nil, nil, nil, err
 		}
 	}
@@ -895,23 +845,18 @@ func aggBatchVectors(ex *executor, b *Batch, stmt *sqlparser.SelectStatement, sp
 
 // buildAggResult finalizes the per-group accumulators into the aggregate
 // and carried-reference columns.
-func buildAggResult(specs []aggSpec, carried []*sqlparser.ColumnRef, order []*aggState) (*aggResult, error) {
+func buildAggResult(calls []*sqlparser.FuncCall, carried []*sqlparser.ColumnRef, order []*aggState) (*aggResult, error) {
 	res := &aggResult{n: len(order), aggs: map[string]*Vector{}, refs: map[string]*Vector{}}
-	for ai, s := range specs {
+	for ai, call := range calls {
 		bld := NewBuilder(len(order))
-		name := strings.ToLower(s.call.Name)
 		for _, st := range order {
-			val, err := st.accs[ai].finalize(name, s.call.Star, st.rows)
-			if err != nil {
-				return nil, err
-			}
-			bld.Append(val)
+			bld.Append(st.accs[ai].Result(call, st.rows))
 		}
 		vec, err := bld.Finalize()
 		if err != nil {
 			return nil, err
 		}
-		res.aggs[s.key] = vec
+		res.aggs[call.SQL()] = vec
 	}
 	for ri, r := range carried {
 		bld := NewBuilder(len(order))
@@ -933,18 +878,16 @@ func buildAggResult(specs []aggSpec, carried []*sqlparser.ColumnRef, order []*ag
 // directly — so the per-row cost is one unboxed hash probe, not a string
 // key build. With intra-query parallelism enabled and a morsel-splittable
 // pipeline below, the work fans out across the morsel pool instead.
-func (ex *executor) hashAggregate(child operator, stmt *sqlparser.SelectStatement) (*aggResult, error) {
-	specs, err := collectAggregates(stmt)
-	if err != nil {
-		return nil, err
-	}
-	carried := collectCarriedRefs(stmt)
+func (ex *executor) hashAggregate(child operator, sp *plan.Select) (*aggResult, error) {
+	calls := sp.Aggregates
+	carried := collectCarriedRefs(sp)
+	grouped := len(sp.Stmt.GroupBy) > 0
 
 	if ex.parallelism() > 1 {
 		// Single-morsel inputs skip the 3-phase machinery: its thread-local
 		// tables and remap passes only pay off with morsels to fan out.
 		if src, layers, ok := splitPipeline(child); ok && src.rows > ex.opts.BatchSize {
-			return ex.parallelHashAggregate(src, layers, stmt, specs, carried)
+			return ex.parallelHashAggregate(src, layers, sp, carried)
 		}
 	}
 
@@ -954,10 +897,10 @@ func (ex *executor) hashAggregate(child operator, stmt *sqlparser.SelectStatemen
 
 	ht := newHashTable(64)
 	var order []*aggState
-	if len(stmt.GroupBy) == 0 {
+	if !grouped {
 		// Aggregates without GROUP BY form one global group even over an
 		// empty input.
-		order = append(order, newAggState(specs, carried))
+		order = append(order, newAggState(calls, carried))
 	}
 
 	for {
@@ -976,22 +919,22 @@ func (ex *executor) hashAggregate(child operator, stmt *sqlparser.SelectStatemen
 			continue
 		}
 		ex.stats.AggRows += int64(n)
-		keyVecs, argVecs, refVecs, err := aggBatchVectors(ex, b, stmt, specs, carried)
+		keyVecs, argVecs, refVecs, err := aggBatchVectors(ex, b, sp, carried)
 		if err != nil {
 			return nil, err
 		}
 		var kc keyCoder
-		if len(stmt.GroupBy) > 0 {
+		if grouped {
 			kc = ht.prepare(keyVecs)
 		}
 		for j := 0; j < n; j++ {
 			var st *aggState
-			if len(stmt.GroupBy) == 0 {
+			if !grouped {
 				st = order[0]
 			} else {
 				g, isNew := kc.getOrInsert(ht, keyVecs, j)
 				if isNew {
-					st = newAggState(specs, carried)
+					st = newAggState(calls, carried)
 					order = append(order, st)
 					for ri, rv := range refVecs {
 						st.firsts[ri] = rv.At(j)
@@ -1000,20 +943,14 @@ func (ex *executor) hashAggregate(child operator, stmt *sqlparser.SelectStatemen
 					st = order[g]
 				}
 			}
-			if len(stmt.GroupBy) == 0 && st.rows == 0 {
+			if !grouped && st.rows == 0 {
 				for ri, rv := range refVecs {
 					st.firsts[ri] = rv.At(j)
 				}
 			}
-			st.rows++
-			for ai := range specs {
-				if specs[ai].call.Star {
-					continue
-				}
-				st.accs[ai].fold(argVecs[ai].At(j), specs[ai].call.Distinct)
-			}
+			st.fold(argVecs, j)
 		}
 	}
 	ex.stats.Groups += int64(len(order))
-	return buildAggResult(specs, carried, order)
+	return buildAggResult(calls, carried, order)
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sqalpel/internal/plan"
 	"sqalpel/internal/sqlparser"
 	"sqalpel/internal/trace"
 )
@@ -325,10 +326,11 @@ type aggMorsel struct {
 // (parallel over groups): each group folds its rows in that order, which
 // is the serial fold order, so order-sensitive accumulations (float sums)
 // come out bit-identical to the serial path at any worker count.
-func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer, stmt *sqlparser.SelectStatement, specs []aggSpec, carried []*sqlparser.ColumnRef) (*aggResult, error) {
+func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer, sp *plan.Select, carried []*sqlparser.ColumnRef) (*aggResult, error) {
 	p := ex.parallelism()
 	bs := ex.opts.BatchSize
-	grouped := len(stmt.GroupBy) > 0
+	grouped := len(sp.Stmt.GroupBy) > 0
+	calls := sp.Aggregates
 	nm := src.numMorsels(bs)
 	morsels := make([]aggMorsel, nm)
 	parallelFor(p, nm, func(m int) {
@@ -388,7 +390,7 @@ func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer
 		mo.n = n
 		mo.stats.AggRows += int64(n)
 		var err error
-		mo.keyVecs, mo.argVecs, mo.refVecs, err = aggBatchVectors(ex, b, stmt, specs, carried)
+		mo.keyVecs, mo.argVecs, mo.refVecs, err = aggBatchVectors(ex, b, sp, carried)
 		if err != nil {
 			mo.err = err
 			return
@@ -441,7 +443,7 @@ func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer
 				g, isNew, buf = global.getOrInsertKeyOf(mo.table, lg, buf)
 				remap[lg] = int32(g)
 				if isNew {
-					st := newAggState(specs, carried)
+					st := newAggState(calls, carried)
 					j := int(mo.firstRows[lg])
 					for ri, rv := range mo.refVecs {
 						st.firsts[ri] = rv.At(j)
@@ -472,7 +474,7 @@ func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer
 		// Aggregates without GROUP BY form one global group even over an
 		// empty input; its carried references resolve against the first
 		// surviving row overall.
-		st := newAggState(specs, carried)
+		st := newAggState(calls, carried)
 		order = []*aggState{st}
 		total := 0
 		for m := range morsels {
@@ -499,18 +501,11 @@ func (ex *executor) parallelHashAggregate(src morselSource, layers []filterLayer
 		st := order[g]
 		for _, packed := range rowsOf[g] {
 			mo := &morsels[packed>>32]
-			j := int(packed & 0xffffffff)
-			st.rows++
-			for ai := range specs {
-				if specs[ai].call.Star {
-					continue
-				}
-				st.accs[ai].fold(mo.argVecs[ai].At(j), specs[ai].call.Distinct)
-			}
+			st.fold(mo.argVecs, int(packed&0xffffffff))
 		}
 	})
 	ex.stats.Groups += int64(len(order))
-	return buildAggResult(specs, carried, order)
+	return buildAggResult(calls, carried, order)
 }
 
 // --- parallel hash join -------------------------------------------------------

@@ -136,10 +136,10 @@ func (ex *executor) prepareSub(s *sqlparser.SelectStatement, subPrefix string) e
 
 // scalarProjExpr returns the single projected expression of a scalar/IN
 // sub-query; the plan verdict guarantees exactly one non-star item.
-func scalarProjExpr(stmt *sqlparser.SelectStatement) (sqlparser.Expr, error) {
-	for _, p := range stmt.Projection {
-		if !p.Star {
-			return p.Expr, nil
+func scalarProjExpr(sp *plan.Select) (sqlparser.Expr, error) {
+	for _, it := range sp.Items {
+		if !it.Star {
+			return it.Expr, nil
 		}
 	}
 	return nil, fmt.Errorf("%w: sub-query projects no expression", ErrUnsupported)
@@ -202,7 +202,7 @@ func (ex *executor) buildApply(sp *plan.Select, ap *plan.Apply, subPrefix string
 	case plan.ApplyExists:
 		// Candidate presence decides; the projection is never evaluated.
 	case plan.ApplyIn, plan.ApplyFirst:
-		proj, err := scalarProjExpr(sp.Stmt)
+		proj, err := scalarProjExpr(sp)
 		if err != nil {
 			return nil, err
 		}
@@ -213,7 +213,7 @@ func (ex *executor) buildApply(sp *plan.Select, ap *plan.Apply, subPrefix string
 		}
 		as.projVals = v
 	case plan.ApplyAgg:
-		if err := ex.buildApplyAgg(as, sp.Stmt, b, rowGroup); err != nil {
+		if err := ex.buildApplyAgg(as, sp, b, rowGroup); err != nil {
 			return nil, err
 		}
 	}
@@ -224,17 +224,14 @@ func (ex *executor) buildApply(sp *plan.Select, ap *plan.Apply, subPrefix string
 // key — the decorrelated image of "run the aggregated sub-query once per outer
 // row" — and evaluates the sub-query's projection over the groups, plus once
 // over an empty group for outer rows with no match (count 0, NULL sums).
-func (ex *executor) buildApplyAgg(as *applyState, stmt *sqlparser.SelectStatement, b *Batch, rowGroup []int32) error {
-	proj, err := scalarProjExpr(stmt)
+func (ex *executor) buildApplyAgg(as *applyState, sp *plan.Select, b *Batch, rowGroup []int32) error {
+	proj, err := scalarProjExpr(sp)
 	if err != nil {
 		return err
 	}
-	specs, err := collectAggregates(stmt)
-	if err != nil {
-		return deferToFallback(err)
-	}
-	carried := collectCarriedRefs(stmt)
-	_, argVecs, refVecs, err := aggBatchVectors(ex, b, stmt, specs, carried)
+	calls := sp.Aggregates
+	carried := collectCarriedRefs(sp)
+	_, argVecs, refVecs, err := aggBatchVectors(ex, b, sp, carried)
 	if err != nil {
 		return deferToFallback(err)
 	}
@@ -248,22 +245,16 @@ func (ex *executor) buildApplyAgg(as *applyState, stmt *sqlparser.SelectStatemen
 		}
 		st := order[g]
 		if st == nil {
-			st = newAggState(specs, carried)
+			st = newAggState(calls, carried)
 			order[g] = st
 			for ri, rv := range refVecs {
 				st.firsts[ri] = rv.At(i)
 			}
 		}
-		st.rows++
-		for ai := range specs {
-			if specs[ai].call.Star {
-				continue
-			}
-			st.accs[ai].fold(argVecs[ai].At(i), specs[ai].call.Distinct)
-		}
+		st.fold(argVecs, i)
 	}
 	ex.stats.Groups += int64(len(order))
-	res, err := buildAggResult(specs, carried, order)
+	res, err := buildAggResult(calls, carried, order)
 	if err != nil {
 		return deferToFallback(err)
 	}
@@ -272,7 +263,7 @@ func (ex *executor) buildApplyAgg(as *applyState, stmt *sqlparser.SelectStatemen
 		return deferToFallback(err)
 	}
 
-	empty, err := buildAggResult(specs, carried, []*aggState{newAggState(specs, carried)})
+	empty, err := buildAggResult(calls, carried, []*aggState{newAggState(calls, carried)})
 	if err != nil {
 		return deferToFallback(err)
 	}
